@@ -224,7 +224,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         return 0
     if args.d == 3:
         family = construct_mub(3)
-        report = certify_d3_impossible(family, seed=seed)
+        report = certify_d3_impossible(family)
         relaxed = relaxed_f_max(family, excluded=0, restarts=64, seed=seed)
         ceiling = 3 * overlap_target(3)
         obj = {
@@ -232,12 +232,14 @@ def cmd_search(args: argparse.Namespace) -> int:
             "delta": report.delta,
             "passed": report.passed,
             "worst_min_deviation": report.worst,
+            "slack": report.slack,
+            "floor": report.floor,
             "relaxed_overlap_sum_max": relaxed.value,
             "overlap_sum_ceiling": ceiling,
             "gap": ceiling - relaxed.value,
             "tuples": [
                 {"indices": list(t.indices), "deviation": t.deviation,
-                 "angles": list(t.angles)}
+                 "angles": list(t.angles), "slack": t.slack}
                 for t in report.tuples
             ],
         }
@@ -271,7 +273,10 @@ def cmd_cube(args: argparse.Namespace) -> int:
             print(p)
         return 0
     # conventional
-    result = conventional_cube_optimize(setup, grid_deg=args.grid_deg)
+    try:
+        result = conventional_cube_optimize(setup, grid_deg=args.grid_deg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     manifest = make_manifest("cube conventional", {"grid_deg": args.grid_deg},
                              args.seed, args.tolerance)
     obj = {
@@ -303,7 +308,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         strategy = cube_conventional_strategy()
     else:
         raise UsageError(f"unknown mode {args.mode!r}; choose from {_SIM_MODES}")
-    result = run(GameConfig(strategy=strategy, trials=args.trials, seed=seed))
+    try:
+        result = run(GameConfig(strategy=strategy, trials=args.trials, seed=seed))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     manifest = make_manifest("simulate", {"mode": args.mode, "trials": args.trials},
                              seed, args.tolerance)
     _print_json(game_result_to_json(result), args.out, manifest)
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", parents=[common],
-                       help="equal-overlap state search (d=4) / impossibility sweep (d=3)")
+                       help="equal-overlap state search (d=4) / impossibility certificate (d=3)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--outdir", type=str, default=".")
     p.set_defaults(func=cmd_search)

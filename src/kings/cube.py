@@ -6,16 +6,17 @@ joint state admits one product decomposition per diagonal (the partner leg is
 the diagonal's mirror image in the x-z plane), and a single entangled
 measurement basis (the VAA basis) retrodicts the king's sign with probability
 (2 + sqrt(3)) / 4.  The best ancilla-free protocol instead prepares spin-up
-along the first diagonal and measures along one optimized control direction,
-reaching (15 + sqrt(33)) / 24.
+along the first diagonal and measures along one control direction.  Its
+optimum is exact: the best direction is the longest signed sum of the other
+three diagonals, which reaches (15 + sqrt(33)) / 24 on three degenerate axes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import DEFAULT
 from .mub import OrthonormalBasis, orthonormality_defect
@@ -230,65 +231,46 @@ def conventional_cube_optimize(
     setup: CubeGameSetup,
     *,
     grid_deg: float = 0.25,
-    refine: bool = True,
 ) -> CubeConventionalResult:
-    """Grid-scan the control direction and polish the best candidates.
+    """Exact ancilla-free optimum, cross-checked against a direction grid.
 
-    A polar-azimuthal grid at `grid_deg` resolution is evaluated in one
-    vectorized pass; every grid point within 1e-6 of the global value is
-    polished with Nelder-Mead and the distinct optimal axes are reported
-    (the cube's symmetry about the preparation diagonal makes the optimum
-    three-fold degenerate).  The returned direction is the obtuse-angle
-    representative of the best axis.
+    The value of a control direction m grows with sum_a |m . n_a| over the
+    three non-preparation diagonals, and sum_a |m . n_a| = max_s m . v_s with
+    v_s = sum_a s_a n_a over sign vectors s.  The best unit m is therefore
+    v_s / |v_s| for the sign vectors maximising |v_s|.  s and -s give the
+    same axis, so s_1 = +1 leaves four candidates; three tie, one axis per
+    great circle through the preparation diagonal.  The co-optima are listed
+    in the order of their sign vectors (+1, s_2, s_3), enumerated with -1
+    before +1, each as its obtuse-angle representative; the first is the
+    returned direction.  grid_best is the best value on a polar-azimuthal
+    grid at `grid_deg` resolution and never exceeds the exact value.
     """
+    if not 0 < grid_deg < np.inf:
+        raise ValueError(f"grid_deg must be a positive number of degrees, got {grid_deg}")
+    signs = np.array([(1, s2, s3) for s2, s3 in itertools.product((-1, 1), repeat=2)])
+    sums = signs @ setup.diagonals[1:]
+    norms = np.linalg.norm(sums, axis=1)
+    co = [
+        _canonical_direction(setup, v / nv)
+        for v, nv in zip(sums, norms) if nv > norms.max() - 1e-12
+    ]
+    best = co[0]
+
+    # on the grid, m . n = sin(theta) (n_x cos(phi) + n_y sin(phi)) + cos(theta) n_z
     thetas = np.radians(np.arange(0.0, 180.0 + grid_deg / 2, grid_deg))
     phis = np.radians(np.arange(0.0, 360.0, grid_deg))
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
-    dots = np.abs(dirs @ setup.diagonals[1:].T)
-    values = 0.25 + 0.25 * ((1.0 + dots) / 2.0).sum(axis=-1)
-    grid_best = float(values.max())
+    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    total = sum(np.abs(st * (n[0] * np.cos(phis) + n[1] * np.sin(phis)) + ct * n[2])
+                for n in setup.diagonals[1:])
+    i, j = np.unravel_index(int(np.argmax(total)), total.shape)
+    grid_best = conventional_cube_value(
+        setup, [st[i, 0] * np.cos(phis[j]), st[i, 0] * np.sin(phis[j]), ct[i, 0]])
 
-    def neg(angles: np.ndarray) -> float:
-        th, ph = angles
-        m = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-        return -conventional_cube_value(setup, m)
-
-    # polish every near-optimal grid point, then deduplicate by axis; the
-    # window scales with the grid spacing so degenerate optima whose nearest
-    # grid points sit a quadratic-in-spacing deficit below the max still count
-    window = max(1e-6, 0.5 * np.radians(grid_deg) ** 2)
-    near = np.argwhere(values >= grid_best - window)
-    axes: list[np.ndarray] = []
-    axis_values: list[float] = []
-    for ti, pi in near:
-        th, ph = float(thetas[ti]), float(phis[pi])
-        if refine:
-            res = minimize(neg, np.array([th, ph]), method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-            th, ph = float(res.x[0]), float(res.x[1])
-            val = -float(res.fun)
-        else:
-            val = float(values[ti, pi])
-        m = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-        m = _canonical_direction(setup, m / np.linalg.norm(m))
-        for seen in axes:
-            if abs(float(seen @ m)) > 1.0 - 1e-8:
-                break
-        else:
-            axes.append(m)
-            axis_values.append(val)
-    order = np.argsort(axis_values)[::-1]
-    axes = [axes[i] for i in order]
-    axis_values = [axis_values[i] for i in order]
-    best = axes[0]
-    value = axis_values[0]
-    co = [m for m, v in zip(axes, axis_values) if v >= value - 1e-6]
     angle = float(np.degrees(np.arccos(np.clip(best @ setup.diagonals[0], -1, 1))))
     return CubeConventionalResult(
         direction=best,
         rule=conventional_cube_rule(setup, best),
-        value=value,
+        value=conventional_cube_value(setup, best),
         angle_to_first_diagonal_deg=angle,
         co_optima=co,
         great_circle=_great_circle_tag(setup, best),

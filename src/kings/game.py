@@ -201,6 +201,8 @@ def _mode_name(strategy: Strategy) -> str:
 
 def run(config: GameConfig) -> GameResult:
     """Simulate config.trials rounds; deterministic for a given seed."""
+    if config.trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {config.trials}")
     rng = np.random.default_rng(config.seed)
     strategy = config.strategy
     if isinstance(strategy, ConventionalStrategy):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .cube import conventional_cube_optimize, make_cube_setup
@@ -14,7 +12,6 @@ from .search import find_measurement_bases, find_signal_states
 from .strategy import ConventionalStrategy, build_strategy
 
 
-@lru_cache(maxsize=None)
 def d2_optimal_strategy() -> ConventionalStrategy:
     """Qubit optimum: control basis midway between the x and y eigenbases."""
     family = construct_mub(2)
@@ -26,7 +23,6 @@ def d2_optimal_strategy() -> ConventionalStrategy:
     return build_strategy(family, prep_basis=0, prep_index=0, control=control)
 
 
-@lru_cache(maxsize=None)
 def d4_optimal_strategy() -> ConventionalStrategy:
     """Two-qubit optimum: first orthonormal quadruple of signal states."""
     family = construct_mub(4)
@@ -35,14 +31,12 @@ def d4_optimal_strategy() -> ConventionalStrategy:
     return build_strategy(family, prep_basis=0, prep_index=0, control=bases[0].basis)
 
 
-@lru_cache(maxsize=None)
 def cube_vaa_strategy() -> CubeVaaStrategy:
     return CubeVaaStrategy(setup=make_cube_setup())
 
 
-@lru_cache(maxsize=None)
-def cube_conventional_strategy(grid_deg: float = 1.0) -> CubeConventionalStrategy:
-    """Optimized ancilla-free cube protocol (grid + polish, then frozen)."""
+def cube_conventional_strategy() -> CubeConventionalStrategy:
+    """Optimal ancilla-free cube protocol (exact axis, frozen)."""
     setup = make_cube_setup()
-    result = conventional_cube_optimize(setup, grid_deg=grid_deg)
+    result = conventional_cube_optimize(setup, grid_deg=1.0)
     return CubeConventionalStrategy(setup=setup, direction=result.direction, rule=result.rule)

@@ -1,4 +1,4 @@
-"""Exhaustive searches for equal-overlap signal states.
+"""Exact searches for equal-overlap signal states.
 
 A signal state for the d = 4 family superposes one state from each of the
 four non-computational bases with unit-modulus phases,
@@ -6,14 +6,14 @@ four non-computational bases with unit-modulus phases,
     chi = (|a> + b |b'> + c |c'> + d |d'>) / sqrt(10),
 
 and qualifies when its squared overlap with every constituent equals
-overlap_target(4) = 5/8.  Scanning all 4^4 index tuples with phases
-restricted to 4th roots of unity yields exactly 32 solutions, which assemble
-into exactly 32 orthonormal measurement bases; any of those bases saturates
-the conventional success bound in d = 4.
+overlap_target(4) = 5/8.  One vectorized pass over all 4^4 index tuples
+with phases restricted to 4th roots of unity yields exactly 32 solutions,
+whose orthogonality graph has exactly 32 4-cliques: orthonormal bases that
+each saturate the conventional success bound in d = 4.
 
-The analogous d = 3 construction has no solution: for every index tuple the
-three overlap conditions cannot be met simultaneously for any phases, and
-certify_d3_impossible measures by how much they fail.
+The analogous d = 3 construction has no solution.  certify_d3_impossible
+proves it with a phase grid plus a Lipschitz bound: every index tuple has a
+floor that no phases get below, and every floor sits above delta.
 """
 
 from __future__ import annotations
@@ -66,23 +66,26 @@ def signal_candidate(
 def find_signal_states(family: MubFamily, *, tol: float = 1e-9) -> list[SignalState]:
     """Scan all index tuples and 4th-root phase triples for equal overlaps.
 
-    Requires the d = 4 family.  Returns solutions in lexicographic index
-    order; the squared overlap with each of the four constituents must equal
-    5/8 within `tol`.
+    Requires the d = 4 family.  All 256 x 64 candidates are evaluated in one
+    contraction of the per-tuple Gram matrices with the phase vectors.
+    Returns solutions in lexicographic order; the squared overlap with each
+    of the four constituents must equal 5/8 within `tol`.
     """
     d = family.dim
     if d != 4:
         raise ValueError(f"the scan is specific to dim 4, got {d}")
-    target = overlap_target(d)  # 5/8
+    index_tuples = list(itertools.product(range(4), repeat=4))
+    phase_triples = list(itertools.product(FOURTH_ROOTS, repeat=3))
+    coeffs = np.array([(1, *phases) for phases in phase_triples])
+    comps = family.array[1:][np.arange(4), np.array(index_tuples)]  # (tuple, m, component)
+    gram = np.einsum("tmx,tkx->tmk", comps.conj(), comps)
+    amps = _norm_constant(4) * np.einsum("tmk,pk->tpm", gram, coeffs)
+    dev = np.abs(np.abs(amps) ** 2 - overlap_target(d)).max(axis=-1)
     found: list[SignalState] = []
-    for indices in itertools.product(range(4), repeat=4):
-        comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
-        for phases in itertools.product(FOURTH_ROOTS, repeat=3):
-            chi = _norm_constant(4) * (comps[0] + phases[0] * comps[1]
-                                       + phases[1] * comps[2] + phases[2] * comps[3])
-            overlaps = np.abs(comps.conj() @ chi) ** 2
-            if np.max(np.abs(overlaps - target)) < tol:
-                found.append(SignalState(indices=indices, phases=phases, vector=chi))
+    for t, p in np.argwhere(dev < tol):
+        indices, phases = index_tuples[t], phase_triples[p]
+        found.append(SignalState(indices=indices, phases=phases,
+                                 vector=signal_candidate(family, indices, phases)))
     return found
 
 
@@ -164,18 +167,22 @@ def off_lattice_deviation(
 def find_measurement_bases(states: list[SignalState], *, tol: float = 1e-9) -> list[MeasurementBasis4]:
     """All orthonormal quadruples among the signal states, canonically ordered.
 
-    Checks every 4-subset for pairwise orthogonality within `tol` and returns
-    the quadruples sorted lexicographically by member index.
+    Enumerates the 4-cliques of the orthogonality graph (an edge wherever two
+    states overlap by less than `tol`): each state is extended by the triples
+    of its later neighbours, so the quadruples come out lexicographically.
     """
     vecs = np.array([s.vector for s in states])
-    gram = np.abs(vecs.conj() @ vecs.T)
+    ortho = np.abs(vecs.conj() @ vecs.T) < tol
     out: list[MeasurementBasis4] = []
-    for quad in itertools.combinations(range(len(states)), 4):
-        if all(gram[a, b] < tol for a, b in itertools.combinations(quad, 2)):
-            out.append(MeasurementBasis4(
-                members=quad,
-                basis=OrthonormalBasis(label=None, states=vecs[list(quad)]),
-            ))
+    for a in range(len(states)):
+        later = [b for b in range(a + 1, len(states)) if ortho[a, b]]
+        for rest in itertools.combinations(later, 3):
+            if all(ortho[x, y] for x, y in itertools.combinations(rest, 2)):
+                quad = (a,) + rest
+                out.append(MeasurementBasis4(
+                    members=quad,
+                    basis=OrthonormalBasis(label=None, states=vecs[list(quad)]),
+                ))
     return out
 
 
@@ -198,26 +205,44 @@ def certify_optimal_strategy(family: MubFamily, basis: MeasurementBasis4) -> tup
 
 @dataclass
 class TupleDeviation:
-    """Best achievable overlap deviation for one index tuple (d = 3)."""
+    """Grid minimum of one tuple's overlap deviation (d = 3); no phases beat its floor."""
 
     indices: tuple[int, int, int]
     deviation: float
     angles: tuple[float, float]
+    slack: float
+
+    @property
+    def floor(self) -> float:
+        return self.deviation - self.slack
 
 
 @dataclass
 class ImpossibilityReport:
-    """Outcome of the d = 3 phase sweep over all index tuples."""
+    """Outcome of the d = 3 certificate over all index tuples."""
 
     dim: int
     delta: float
     tuples: list[TupleDeviation]
-    passed: bool
 
     @property
     def worst(self) -> float:
-        """Smallest deviation over tuples: how close any tuple ever gets."""
+        """Smallest grid deviation over tuples: how close any tuple ever gets."""
         return min(t.deviation for t in self.tuples)
+
+    @property
+    def slack(self) -> float:
+        """Largest Lipschitz slack over tuples."""
+        return max(t.slack for t in self.tuples)
+
+    @property
+    def floor(self) -> float:
+        """Proven lower bound on the deviation over all tuples and phases."""
+        return min(t.floor for t in self.tuples)
+
+    @property
+    def passed(self) -> bool:
+        return self.floor > self.delta
 
 
 def certify_d3_impossible(
@@ -225,58 +250,44 @@ def certify_d3_impossible(
     *,
     delta: float = 1e-3,
     grid_deg: float = 0.5,
-    starts: int = 32,
-    seed: int = 0,
 ) -> ImpossibilityReport:
-    """Show no d = 3 signal state exists for any index tuple.
+    """Prove no d = 3 signal state exists for any index tuple.
 
-    For each of the 27 tuples the two free phases are optimized to minimize
-    the maximum deviation of the three constituent overlaps from
-    overlap_target(3), by a vectorized grid at `grid_deg` resolution followed
-    by Nelder-Mead polish from the grid argmin and `starts` random starts.
-    Passes when every tuple stays above `delta`.
+    With the first phase fixed to 1 and the free angles theta_1, theta_2,
+    each constituent overlap is o_m = n^2 |sum_k g_mk e^(i theta_k)|^2, where
+    g is the tuple's Gram matrix.  For each of the 27 tuples the maximum
+    deviation of the three overlaps from overlap_target(3) is evaluated on a
+    vectorized grid of spacing h = `grid_deg`.  The k = j term of the sum
+    drops out of the derivative, so |d o_m / d theta_j| <= 2 n^2 |g_mj|
+    sum_{k != j} |g_mk|; every point lies within h/2 of a grid node in each
+    angle, so no phase pair beats the grid minimum by more than the slack
+    h n^2 max_m sum_{j=1,2} |g_mj| sum_{k != j} |g_mk|.  Passes when the floor,
+    grid minimum minus slack over all tuples, exceeds `delta`.
     """
     d = family.dim
     if d != 3:
         raise ValueError(f"this certificate is specific to dim 3, got {d}")
-    n = _norm_constant(3)
+    n2 = _norm_constant(3) ** 2
     target = overlap_target(3)
     steps = int(round(360 / grid_deg))
     ang = 2 * np.pi * np.arange(steps) / steps
     u = np.exp(1j * ang)[:, None]
     v = np.exp(1j * ang)[None, :]
-    rng = np.random.default_rng(seed)
     tuples: list[TupleDeviation] = []
     for indices in itertools.product(range(3), repeat=3):
         comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
         g = comps.conj() @ comps.T
-        o1 = np.abs(n * (1 + g[0, 1] * u + g[0, 2] * v)) ** 2
-        o2 = np.abs(n * (g[1, 0] + u + g[1, 2] * v)) ** 2
-        o3 = np.abs(n * (g[2, 0] + g[2, 1] * u + v)) ** 2
-        dev = np.maximum(np.abs(o1 - target),
-                         np.maximum(np.abs(o2 - target), np.abs(o3 - target)))
+        dev = np.zeros((steps, steps))
+        for gm in g:
+            amp = gm[0] + gm[1] * u + gm[2] * v
+            np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
         gi = np.unravel_index(int(np.argmin(dev)), dev.shape)
-
-        def f(angles: np.ndarray) -> float:
-            uu, vv = np.exp(1j * angles[0]), np.exp(1j * angles[1])
-            oo = (
-                abs(n * (1 + g[0, 1] * uu + g[0, 2] * vv)) ** 2,
-                abs(n * (g[1, 0] + uu + g[1, 2] * vv)) ** 2,
-                abs(n * (g[2, 0] + g[2, 1] * uu + vv)) ** 2,
-            )
-            return max(abs(o - target) for o in oo)
-
-        best = float(dev[gi])
-        best_angles = (float(ang[gi[0]]), float(ang[gi[1]]))
-        for start in [np.array([ang[gi[0]], ang[gi[1]]])] + [rng.uniform(0, 2 * np.pi, 2) for _ in range(starts)]:
-            res = minimize(f, start, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-            if res.fun < best:
-                best = float(res.fun)
-                best_angles = (float(res.x[0]), float(res.x[1]))
-        tuples.append(TupleDeviation(indices=indices, deviation=best, angles=best_angles))
-    passed = all(t.deviation > delta for t in tuples)
-    return ImpossibilityReport(dim=3, delta=delta, tuples=tuples, passed=passed)
+        a = np.abs(g)
+        grad = (a * (a.sum(axis=1, keepdims=True) - a))[:, 1:].sum(axis=1)
+        tuples.append(TupleDeviation(indices=indices, deviation=float(dev[gi]),
+                                     angles=(float(ang[gi[0]]), float(ang[gi[1]])),
+                                     slack=float(2 * np.pi / steps * n2 * grad.max())))
+    return ImpossibilityReport(dim=3, delta=delta, tuples=tuples)
 
 
 def single_overlap_deviation(

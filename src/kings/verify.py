@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -45,14 +44,6 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{self.number:2d}] {status}  {self.name}  ({self.elapsed:.3f} s)  {self.details}"
-
-
-@cache
-def _d4_search():
-    family = construct_mub(4)
-    signals = find_signal_states(family)
-    bases = find_measurement_bases(signals)
-    return family, signals, bases
 
 
 def criterion_bound_table() -> CriterionResult:
@@ -113,7 +104,8 @@ def criterion_mub_certification() -> CriterionResult:
 
 def criterion_d4_search() -> CriterionResult:
     t0 = time.perf_counter()
-    _family, signals, bases = _d4_search()
+    signals = find_signal_states(construct_mub(4))
+    bases = find_measurement_bases(signals)
     elapsed = time.perf_counter() - t0
     problems = []
     if len(signals) != 32:
@@ -146,7 +138,8 @@ def criterion_d4_search() -> CriterionResult:
 
 def criterion_d4_optimum() -> CriterionResult:
     t0 = time.perf_counter()
-    family, _signals, bases = _d4_search()
+    family = construct_mub(4)
+    bases = find_measurement_bases(find_signal_states(family))
     ceiling = 4 * overlap_target(4)
     problems = []
     worst_total = 0.0
@@ -184,12 +177,13 @@ def criterion_d3_impossibility() -> CriterionResult:
     gap = ceiling - relaxed.value
     problems = []
     if not report.passed:
-        worst_t = min(report.tuples, key=lambda t: t.deviation)
-        problems.append(f"tuple {worst_t.indices} reaches deviation {worst_t.deviation:.2e}")
+        worst_t = min(report.tuples, key=lambda t: t.floor)
+        problems.append(f"tuple {worst_t.indices} has floor {worst_t.floor:.2e} <= {report.delta}")
     if gap <= 0:
         problems.append(f"relaxed maximum {relaxed.value!r} does not sit below {ceiling!r}")
     passed = not problems and elapsed < 60.0
-    details = f"all 27 tuples fail by >= {report.worst:.6f}; overlap-sum gap {gap:.6f}"
+    details = (f"all 27 tuples fail by >= {report.worst:.6f}, floor - delta "
+               f"{report.floor - report.delta:.6f}; overlap-sum gap {gap:.6f}")
     if problems:
         details = "; ".join(problems)
     return CriterionResult(6, "no saturating states in d=3", passed, details, elapsed, 60.0)
@@ -242,7 +236,9 @@ def criterion_cube_conventional() -> CriterionResult:
         problems.append("does not beat the constant-guess baseline")
     passed = not problems
     details = (
-        f"value {result.value:.9f} (exact {exact:.9f}), angle "
+        f"value {result.value:.9f} (exact {exact:.9f}, |value - exact| "
+        f"{abs(result.value - exact):.1e}, value - grid_best "
+        f"{result.value - result.grid_best:.1e}), angle "
         f"{result.angle_to_first_diagonal_deg:.3f} deg (reference {reference_angle:.3f}), "
         f"{len(result.co_optima)} co-optimal axes"
         if passed else "; ".join(problems)

@@ -162,6 +162,9 @@ def test_search_d3_impossibility_report(capsys, tmp_path):
     assert len(report["tuples"]) == 27
     assert report["gap"] > 0.017
     assert report["worst_min_deviation"] > 1e-3
+    assert report["floor"] == pytest.approx(report["worst_min_deviation"] - report["slack"])
+    assert report["floor"] > report["delta"]
+    assert all(t["deviation"] - t["slack"] >= report["floor"] for t in report["tuples"])
 
 
 def test_search_rejects_other_dims(capsys):
@@ -196,6 +199,20 @@ def test_cube_conventional(capsys):
     assert obj["great_circle_partner"] in (2, 3, 4)
     assert obj["baseline"] == pytest.approx(0.75)
     assert obj["rule"]["1"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--mode", "d2", "--trials", "0"),
+    ("simulate", "--mode", "d4", "--trials", "-5"),
+    ("cube", "conventional", "--grid-deg", "0"),
+    ("cube", "conventional", "--grid-deg", "-1.5"),
+])
+def test_bad_numbers_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 def test_simulate_round_trips(capsys):

@@ -141,6 +141,31 @@ def optimum(setup):
     return conventional_cube_optimize(setup, grid_deg=1.0)
 
 
+@pytest.mark.parametrize("grid_deg", [1.0, 0.25])
+def test_optimum_direction_is_exact(setup, grid_deg):
+    optimum = conventional_cube_optimize(setup, grid_deg=grid_deg)
+    assert optimum.value == pytest.approx((15 + np.sqrt(33)) / 24, abs=1e-12)
+    assert optimum.grid_best <= optimum.value + 1e-12
+    expected = np.array([1.0, -3.0, 1.0]) / np.sqrt(11)
+    assert np.abs(optimum.direction - expected).max() <= 1e-12
+    assert np.array_equal(optimum.direction, optimum.co_optima[0])
+    # the co-optima are the three sign-pattern axes sum_a s_a n_a, as
+    # obtuse-angle representatives, in (+1, s_2, s_3) order with - before +
+    n = setup.diagonals[1:]
+    axes = [n[0] - n[1] - n[2], n[0] + n[1] - n[2], n[0] + n[1] + n[2]]
+    axes = [-m / np.linalg.norm(m) if m @ setup.diagonals[0] > 0 else m / np.linalg.norm(m)
+            for m in axes]
+    assert len(optimum.co_optima) == 3
+    for got, want in zip(optimum.co_optima, axes):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_optimizer_rejects_bad_grid(setup):
+    for grid_deg in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            conventional_cube_optimize(setup, grid_deg=grid_deg)
+
+
 def test_optimizer_value_and_angle(setup, optimum):
     exact = (15 + np.sqrt(33)) / 24
     assert optimum.value == pytest.approx(exact, abs=1e-9)

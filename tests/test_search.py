@@ -1,4 +1,4 @@
-"""The d = 4 signal-state scan, its basis assembly, and the d = 3 sweep."""
+"""The d = 4 signal-state scan, its basis assembly, and the d = 3 certificate."""
 
 import numpy as np
 import pytest
@@ -59,9 +59,9 @@ def test_signal_states_have_equal_overlaps(family4, signals):
 
 
 def test_signal_candidate_assembly(family4, signals):
-    s = signals[0]
-    rebuilt = signal_candidate(family4, s.indices, s.phases)
-    assert np.allclose(rebuilt, s.vector, atol=1e-12)
+    for s in signals:
+        rebuilt = signal_candidate(family4, s.indices, s.phases)
+        assert np.abs(rebuilt - s.vector).max() <= 1e-15
 
 
 def test_scan_requires_dim_4():
@@ -132,6 +132,37 @@ def test_d3_all_tuples_fail(d3_report):
     assert d3_report.passed
     assert len(d3_report.tuples) == 27
     assert all(t.deviation > 1e-3 for t in d3_report.tuples)
+    assert d3_report.floor > d3_report.delta
+    assert d3_report.floor == min(t.deviation - t.slack for t in d3_report.tuples)
+
+
+def _d3_deviations(family, indices, angles):
+    """Max overlap deviation from the target at each row of (theta_1, theta_2)."""
+    comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
+    coeffs = np.concatenate([np.ones((len(angles), 1)), np.exp(1j * angles)], axis=1)
+    chi = coeffs @ comps / np.sqrt(3 + 2 * np.sqrt(3))
+    overlaps = np.abs(chi @ comps.conj().T) ** 2
+    return np.abs(overlaps - overlap_target(3)).max(axis=1)
+
+
+@pytest.mark.parametrize("grid_deg", [0.5, 1.0])
+def test_d3_floor_holds_off_the_grid(grid_deg):
+    """The floor is a bound: no continuous phase pair gets below it."""
+    family = construct_mub(3)
+    report = certify_d3_impossible(family, grid_deg=grid_deg)
+    assert report.passed
+    h = np.radians(grid_deg)
+    rng = np.random.default_rng(3)
+    for t in report.tuples:
+        angles = rng.uniform(0, 2 * np.pi, size=(10_000, 2))
+        dev = _d3_deviations(family, t.indices, angles)
+        assert dev.min() >= t.floor
+        # the slack covers the drop from the nearest grid node to any point
+        nodes = h * np.round(angles / h)
+        assert (_d3_deviations(family, t.indices, nodes) - dev).max() <= t.slack
+        # the grid minimum is attained at the reported angles
+        at_grid = _d3_deviations(family, t.indices, np.array([t.angles]))[0]
+        assert at_grid == pytest.approx(t.deviation, abs=1e-12)
 
 
 def test_d3_worst_matches_frozen_value(d3_report):
