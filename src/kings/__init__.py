@@ -45,8 +45,6 @@ from .game import (
     CubeVaaStrategy,
     GameConfig,
     GameResult,
-    PlayRecord,
-    play_once,
     run,
 )
 from .mub import (
@@ -112,8 +110,7 @@ __all__ = [
     "make_cube_setup", "vaa_overlap_table", "vaa_prediction_table",
     "vaa_success_exact", "verify_bell_decompositions", "wrong_prediction_mass",
     # game
-    "CubeConventionalStrategy", "CubeVaaStrategy", "GameConfig", "GameResult",
-    "PlayRecord", "play_once", "run",
+    "CubeConventionalStrategy", "CubeVaaStrategy", "GameConfig", "GameResult", "run",
     # mub
     "CertificationReport", "MubFamily", "OrthonormalBasis", "certify_family",
     "construct_mub", "is_prime", "orthonormality_defect", "two_qubit_observable_pairs",

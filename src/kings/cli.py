@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Any
 
 from . import __version__
-from .bounds import bound_p, bound_report, overlap_target, relaxed_f_max
+from .bounds import bound_report, overlap_target, relaxed_f_max
 from .config import DEFAULT
 from .cube import (
     collapse_row_labels,
@@ -48,7 +48,7 @@ from .serialize import (
     write_csv,
 )
 from .strategy import build_strategy, success_exact
-from .tables import TABLE_DIMS, write_tables
+from .tables import table1_csv, write_tables
 from .verify import run_all
 
 
@@ -147,9 +147,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     manifest = make_manifest("bound", {"d": args.d, "r": args.r, "table1": args.table1},
                              args.seed, args.tolerance)
     if args.table1:
-        lines = ["d,conventional_bound"]
-        lines += [f"{d},{bound_p(d):.4f}" for d in TABLE_DIMS]
-        text = "\n".join(lines) + "\n"
+        header, rows = table1_csv()
+        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
         if args.out is None:
             sys.stdout.write(text)
         else:

@@ -2,9 +2,14 @@
 
 run() simulates full rounds (king's choice, Born-rule collapse, control
 measurement, prediction) for a conventional MUB strategy, the VAA cube
-protocol or the ancilla-free cube protocol.  Sampling is vectorized
-inverse-CDF over precomputed outcome distributions with numpy's PCG64
-generator, so a seed pins the result bit for bit.
+protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
+once to a GameTables record (outcome distributions plus a prediction table in
+index space), and one sampling loop serves every kind.  Trials are drawn in
+chunks of CHUNK from a single numpy PCG64 generator: per chunk the king's
+choices, then the king's uniforms, then the control uniforms, each turned
+into outcomes by an inverse-CDF compare.  Memory is O(CHUNK) whatever the
+trial count, a seed pins the result bit for bit, and a run of up to CHUNK
+trials consumes the stream exactly as one unchunked draw would.
 """
 
 from __future__ import annotations
@@ -13,17 +18,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT
 from .cube import (
     CubeGameSetup,
     PredictionTable,
     conventional_cube_rule,
     king_collapse,
+    vaa_overlap_table,
     vaa_prediction_table,
 )
 from .qstate import spin_up_state
 from .strategy import ConventionalStrategy, overlap_matrix
 
 GENERATOR_NAME = "numpy-pcg64"
+CHUNK = 1 << 20
 
 
 @dataclass
@@ -63,17 +71,6 @@ class GameConfig:
 
 
 @dataclass
-class PlayRecord:
-    """One simulated round."""
-
-    king_choice: int
-    king_outcome: int
-    control_outcome: int
-    prediction: int
-    success: bool
-
-
-@dataclass
 class GameResult:
     """Aggregated Monte Carlo outcome; equality is bit-for-bit."""
 
@@ -87,12 +84,86 @@ class GameResult:
     generator: str = GENERATOR_NAME
 
 
+@dataclass
+class GameTables:
+    """A strategy lowered to index space.
+
+    first[c] is the king's outcome distribution for choice c,
+    control[c * n_out + o] the control distribution after king outcome o, and
+    predict[k, c] the king outcome called on control outcome k.  Cube signs
+    index as +1 -> 0 and -1 -> 1.
+    """
+
+    mode: str
+    first: np.ndarray
+    control: np.ndarray
+    predict: np.ndarray
+
+
 def _check_probs(p: np.ndarray) -> np.ndarray:
     """Renormalize a Born distribution, rejecting real corruption."""
     s = p.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(s - 1.0) > 1e-10):
+    if np.any(np.abs(s - 1.0) > DEFAULT.comparison):
         raise ValueError(f"outcome probabilities sum to {s.ravel()!r}, not 1")
     return p / s
+
+
+def _sign_index(signs: np.ndarray) -> np.ndarray:
+    return (1 - np.asarray(signs, dtype=int)) // 2
+
+
+def _lower_mub(s: ConventionalStrategy) -> GameTables:
+    family, d = s.family, s.family.dim
+    first = np.abs(np.einsum("ijm,m->ij", family.array.conj(), s.preparation)) ** 2
+    control = overlap_matrix(family, s.control).reshape(-1, d)
+    predict = np.full((d, d + 1), -1, dtype=int)
+    for (k, i), j in s.assignment.prediction.items():
+        predict[k, i] = j
+    predict[:, s.prep_basis] = s.prep_index
+    return GameTables(f"mub-d{d}", _check_probs(first), _check_probs(control), predict)
+
+
+def _lower_cube_vaa(s: CubeVaaStrategy) -> GameTables:
+    setup = s.setup
+    first = np.empty((4, 2))
+    for a in range(4):
+        # Born weights of the two collapse branches of the shared pair
+        bra = np.array([king_collapse(setup, a, 1), king_collapse(setup, a, -1)])
+        first[a] = np.abs(bra.conj() @ setup.bell) ** 2
+    control = vaa_overlap_table(setup)
+    return GameTables("cube-vaa", _check_probs(first), _check_probs(control),
+                      _sign_index(s.prediction.table))
+
+
+def _lower_cube_conventional(s: CubeConventionalStrategy) -> GameTables:
+    setup = s.setup
+    prep = spin_up_state(setup.diagonals[0])
+    plus = spin_up_state(s.direction)
+    minus = spin_up_state(-np.asarray(s.direction))
+    first = np.empty((4, 2))
+    control = np.empty((8, 2))
+    for a in range(4):
+        for si, sign in enumerate((1, -1)):
+            state = spin_up_state(sign * setup.diagonals[a])
+            first[a, si] = abs(np.vdot(state, prep)) ** 2
+            control[2 * a + si] = (abs(np.vdot(plus, state)) ** 2,
+                                   abs(np.vdot(minus, state)) ** 2)
+    # control outcome 0 (+) calls the rule's sign; 1 (-) flips it off diagonal 0
+    signs = np.array([[s.rule[a] for a in range(4)],
+                      [s.rule[a] if a == 0 else -s.rule[a] for a in range(4)]])
+    return GameTables("cube-conventional", _check_probs(first), _check_probs(control),
+                      _sign_index(signs))
+
+
+def _lower(strategy: Strategy) -> GameTables:
+    """The one dispatch over strategy kinds."""
+    if isinstance(strategy, ConventionalStrategy):
+        return _lower_mub(strategy)
+    if isinstance(strategy, CubeVaaStrategy):
+        return _lower_cube_vaa(strategy)
+    if isinstance(strategy, CubeConventionalStrategy):
+        return _lower_cube_conventional(strategy)
+    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
 def _sample_rows(prob_rows: np.ndarray, row_index: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -102,143 +173,32 @@ def _sample_rows(prob_rows: np.ndarray, row_index: np.ndarray, u: np.ndarray) ->
     return np.minimum(idx, prob_rows.shape[-1] - 1)
 
 
-# --- distribution tables per strategy kind ----------------------------------
-
-
-def _mub_tables(s: ConventionalStrategy):
-    family, d = s.family, s.family.dim
-    prep = s.preparation
-    king_probs = _check_probs(
-        np.abs(np.einsum("ijm,m->ij", family.array.conj(), prep)) ** 2
-    )
-    control_probs = _check_probs(overlap_matrix(family, s.control).reshape(-1, d))
-    pred = np.full((d, d + 1), -1, dtype=int)
-    for (k, i), j in s.assignment.prediction.items():
-        pred[k, i] = j
-    pred[:, s.prep_basis] = s.prep_index
-    return king_probs, control_probs, pred
-
-
-def _cube_rows(setup: CubeGameSetup) -> np.ndarray:
-    return np.array([king_collapse(setup, a, s) for a in range(4) for s in (1, -1)])
-
-
-def _cube_vaa_tables(s: CubeVaaStrategy):
-    rows = _cube_rows(s.setup)
-    sign_probs = np.empty((4, 2))
-    for a in range(4):
-        # Born weights of the two collapse branches of the shared pair
-        bra = np.array([rows[2 * a], rows[2 * a + 1]])
-        sign_probs[a] = np.abs(bra.conj() @ s.setup.bell) ** 2
-    sign_probs = _check_probs(sign_probs)
-    control_probs = _check_probs(np.abs(rows.conj() @ s.setup.vaa.states.T) ** 2)
-    return sign_probs, control_probs, s.prediction.table
-
-
-def _cube_conventional_tables(s: CubeConventionalStrategy):
-    setup = s.setup
-    prep = spin_up_state(setup.diagonals[0])
-    sign_probs = np.empty((4, 2))
-    for a in range(4):
-        up = spin_up_state(setup.diagonals[a])
-        down = spin_up_state(-setup.diagonals[a])
-        sign_probs[a] = (abs(np.vdot(up, prep)) ** 2, abs(np.vdot(down, prep)) ** 2)
-    sign_probs = _check_probs(sign_probs)
-    plus = spin_up_state(s.direction)
-    minus = spin_up_state(-np.asarray(s.direction))
-    control_probs = np.empty((8, 2))
-    for a in range(4):
-        for si, sign in enumerate((1, -1)):
-            state = spin_up_state(sign * setup.diagonals[a])
-            control_probs[2 * a + si] = (abs(np.vdot(plus, state)) ** 2,
-                                         abs(np.vdot(minus, state)) ** 2)
-    control_probs = _check_probs(control_probs)
-    # prediction[k, a]: sign called when control outcome k (0:+, 1:-) on diagonal a
-    pred = np.empty((2, 4), dtype=int)
-    for a in range(4):
-        pred[0, a] = s.rule[a]
-        pred[1, a] = s.rule[a] if a == 0 else -s.rule[a]
-    return sign_probs, control_probs, pred
-
-
-# --- single rounds -----------------------------------------------------------
-
-
-def play_once(strategy: Strategy, rng: np.random.Generator) -> PlayRecord:
-    """Simulate one round and return its transcript."""
-    if isinstance(strategy, ConventionalStrategy):
-        king_probs, control_probs, pred = _mub_tables(strategy)
-        d = strategy.family.dim
-        i = int(rng.integers(0, d + 1))
-        j = int(_sample_rows(king_probs, np.array([i]), rng.random(1))[0])
-        k = int(_sample_rows(control_probs, np.array([i * d + j]), rng.random(1))[0])
-        guess = int(pred[k, i])
-        return PlayRecord(i, j, k, guess, guess == j)
-    if isinstance(strategy, CubeVaaStrategy):
-        sign_probs, control_probs, pred = _cube_vaa_tables(strategy)
-    elif isinstance(strategy, CubeConventionalStrategy):
-        sign_probs, control_probs, pred = _cube_conventional_tables(strategy)
-    else:
-        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-    a = int(rng.integers(0, 4))
-    si = int(_sample_rows(sign_probs, np.array([a]), rng.random(1))[0])
-    sign = 1 if si == 0 else -1
-    k = int(_sample_rows(control_probs, np.array([2 * a + si]), rng.random(1))[0])
-    guess = int(pred[k, a])
-    return PlayRecord(a, sign, k, guess, guess == sign)
-
-
-# --- vectorized runs ---------------------------------------------------------
-
-
-def _mode_name(strategy: Strategy) -> str:
-    if isinstance(strategy, ConventionalStrategy):
-        return f"mub-d{strategy.family.dim}"
-    if isinstance(strategy, CubeVaaStrategy):
-        return "cube-vaa"
-    return "cube-conventional"
-
-
 def run(config: GameConfig) -> GameResult:
     """Simulate config.trials rounds; deterministic for a given seed."""
     if config.trials < 1:
         raise ValueError(f"trials must be a positive integer, got {config.trials}")
+    tables = _lower(config.strategy)
+    n_choices, n_out = tables.first.shape
     rng = np.random.default_rng(config.seed)
-    strategy = config.strategy
-    if isinstance(strategy, ConventionalStrategy):
-        king_probs, control_probs, pred = _mub_tables(strategy)
-        d = strategy.family.dim
-        n_choices = d + 1
-        choice = rng.integers(0, n_choices, size=config.trials)
-        j = _sample_rows(king_probs, choice, rng.random(config.trials))
-        k = _sample_rows(control_probs, choice * d + j, rng.random(config.trials))
-        ok = pred[k, choice] == j
-    elif isinstance(strategy, (CubeVaaStrategy, CubeConventionalStrategy)):
-        if isinstance(strategy, CubeVaaStrategy):
-            sign_probs, control_probs, pred = _cube_vaa_tables(strategy)
-        else:
-            sign_probs, control_probs, pred = _cube_conventional_tables(strategy)
-        n_choices = 4
-        choice = rng.integers(0, 4, size=config.trials)
-        si = _sample_rows(sign_probs, choice, rng.random(config.trials))
-        sign = 1 - 2 * si
-        k = _sample_rows(control_probs, 2 * choice + si, rng.random(config.trials))
-        ok = pred[k, choice] == sign
-    else:
-        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-    successes = int(ok.sum())
+    played = np.zeros(n_choices, dtype=np.int64)
+    won = np.zeros(n_choices, dtype=np.int64)
+    for start in range(0, config.trials, CHUNK):
+        size = min(CHUNK, config.trials - start)
+        choice = rng.integers(0, n_choices, size=size)
+        outcome = _sample_rows(tables.first, choice, rng.random(size))
+        k = _sample_rows(tables.control, choice * n_out + outcome, rng.random(size))
+        ok = tables.predict[k, choice] == outcome
+        played += np.bincount(choice, minlength=n_choices)
+        won += np.bincount(choice[ok], minlength=n_choices)
+    successes = int(won.sum())
     estimate = successes / config.trials
     stderr = float(np.sqrt(max(estimate * (1 - estimate), 1e-300) / config.trials))
-    per_choice = {
-        int(c): (int((choice == c).sum()), int(ok[choice == c].sum()))
-        for c in range(n_choices)
-    }
     return GameResult(
-        mode=_mode_name(strategy),
+        mode=tables.mode,
         trials=config.trials,
         successes=successes,
         estimate=estimate,
         stderr=stderr,
-        per_choice=per_choice,
+        per_choice={c: (int(played[c]), int(won[c])) for c in range(n_choices)},
         seed=config.seed,
     )

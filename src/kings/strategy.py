@@ -10,7 +10,6 @@ exactly one prediction per basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,7 +18,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .mub import MubFamily, OrthonormalBasis, orthonormality_defect
 from .config import DEFAULT
-from . import qstate
 
 
 def overlap_matrix(family: MubFamily, control: OrthonormalBasis) -> np.ndarray:
@@ -94,9 +92,8 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     """Make the map bijective per basis without losing overlap mass.
 
     Bases where `raw` is already bijective are kept as-is (a bijective greedy
-    map is automatically the best bijection).  Elsewhere the bijection
-    maximizing the summed overlap is found by brute force over all dim!
-    pairings for dim <= 4, and by the Hungarian algorithm for larger dims.
+    map is automatically the best bijection).  Elsewhere the Hungarian
+    algorithm finds the bijection maximizing the summed overlap, for every d.
     `overlaps` is the (d+1, d, d) tensor from overlap_matrix.
     """
     d = raw.dim
@@ -104,15 +101,8 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     for i in raw.covered:
         ks = raw.outcomes(i)
         if len(set(ks)) != d:
-            weights = overlaps[i]  # weights[j, k]
-            if d <= 4:
-                ks = max(
-                    itertools.permutations(range(d)),
-                    key=lambda perm: sum(weights[j, perm[j]] for j in range(d)),
-                )
-            else:
-                rows, cols = linear_sum_assignment(weights, maximize=True)
-                ks = cols[np.argsort(rows)]
+            rows, cols = linear_sum_assignment(overlaps[i], maximize=True)  # [j, k]
+            ks = cols[np.argsort(rows)]
         for j in range(d):
             forward[(i, j)] = int(ks[j])
     return AssignmentMap(dim=d, excluded=raw.excluded, forward=forward)
@@ -129,6 +119,12 @@ class ConventionalStrategy:
     assignment: AssignmentMap
 
     def __post_init__(self) -> None:
+        if self.prep_basis not in self.family.labels:
+            raise ValueError(f"prep_basis {self.prep_basis} is not a basis label "
+                             f"0..{self.family.dim}")
+        if self.prep_index not in range(self.family.dim):
+            raise ValueError(f"prep_index {self.prep_index} is not a state index "
+                             f"0..{self.family.dim - 1}")
         defect = orthonormality_defect(self.control.states)
         if defect > DEFAULT.construction:
             raise ValueError(f"control basis is not orthonormal (defect {defect:g})")

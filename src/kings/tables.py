@@ -32,6 +32,11 @@ def bound_summary() -> list[tuple[int, float]]:
     return [(d, bound_p(d)) for d in TABLE_DIMS]
 
 
+def table1_csv() -> tuple[list[str], list[list[Any]]]:
+    """Header and rows of table 1, the one writer behind every table-1 output."""
+    return ["d", "success_bound"], [[d, f"{v:.4f}"] for d, v in bound_summary()]
+
+
 def _signal_rows(signals: list[SignalState]) -> list[list[Any]]:
     rows = []
     for num, s in enumerate(signals, start=1):
@@ -67,12 +72,10 @@ def write_tables(outdir: str, which: tuple[int, ...] = (1, 2, 3, 4, 5)) -> list[
 
     for n in which:
         if n == 1:
-            data = bound_summary()
             emit(
                 "table1",
-                ["d", "success_bound"],
-                [[d, f"{v:.4f}"] for d, v in data],
-                {"bounds": [{"d": d, "value": v} for d, v in data]},
+                *table1_csv(),
+                {"bounds": [{"d": d, "value": v} for d, v in bound_summary()]},
             )
         elif n == 2:
             family = construct_mub(4)

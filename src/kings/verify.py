@@ -17,15 +17,21 @@ from .bounds import bound_p, overlap_target, relaxed_f_max, total_bound
 from .cube import (
     conventional_baseline,
     conventional_cube_optimize,
+    conventional_cube_value,
     make_cube_setup,
     vaa_overlap_table,
     vaa_prediction_table,
     vaa_success_exact,
     wrong_prediction_mass,
 )
-from .game import CubeConventionalStrategy, CubeVaaStrategy, GameConfig, run
+from .game import GameConfig, run
 from .mub import certify_family, construct_mub
-from .presets import cube_vaa_strategy, d2_optimal_strategy, d4_optimal_strategy
+from .presets import (
+    cube_conventional_strategy,
+    cube_vaa_strategy,
+    d2_optimal_strategy,
+    d4_optimal_strategy,
+)
 from .search import certify_d3_impossible, find_measurement_bases, find_signal_states
 from .strategy import build_strategy, complement_strategy, random_strategy, success_exact
 
@@ -256,10 +262,8 @@ def criterion_monte_carlo(profile: str = "full") -> CriterionResult:
     cases.append(("d2", d2, success_exact(d2).total))
     vaa = cube_vaa_strategy()
     cases.append(("cube-vaa", vaa, vaa_success_exact(vaa.setup)))
-    setup = make_cube_setup()
-    opt = conventional_cube_optimize(setup, grid_deg=1.0)
-    conv = CubeConventionalStrategy(setup=setup, direction=opt.direction, rule=opt.rule)
-    cases.append(("cube-conv", conv, opt.value))
+    conv = cube_conventional_strategy()
+    cases.append(("cube-conv", conv, conventional_cube_value(conv.setup, conv.direction)))
     problems = []
     measured = []
     for name, strat, exact in cases:

@@ -30,7 +30,7 @@ def test_bound_table1(capsys):
     code, out, _ = run_cli(capsys, "bound", "--table1")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "d,conventional_bound"
+    assert lines[0] == "d,success_bound"
     assert lines[1] == "2,0.9024"
     assert lines[4] == "5,0.6315"
     assert len(lines) == 7
@@ -206,6 +206,9 @@ def test_cube_conventional(capsys):
     ("simulate", "--mode", "d4", "--trials", "-5"),
     ("cube", "conventional", "--grid-deg", "0"),
     ("cube", "conventional", "--grid-deg", "-1.5"),
+    ("eval", "--d", "4", "--control", "builtin", "--prep-basis", "9"),
+    ("eval", "--d", "4", "--control", "builtin", "--prep-index", "9"),
+    ("eval", "--d", "4", "--control", "builtin", "--prep-basis", "-1"),
 ])
 def test_bad_numbers_exit_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -249,6 +252,13 @@ def test_tables_selected_subset(capsys, tmp_path):
     assert manifest["parameters"]["which"] == [1, 5]
     header, rows = read_csv(os.path.join(tmp_path, "table1.csv"))
     assert rows[3] == ["5", "0.6315"]
+
+
+def test_bound_table1_matches_tables_csv(capsys, tmp_path):
+    _, out, _ = run_cli(capsys, "bound", "--table1")
+    run_cli(capsys, "tables", "--which", "1", "--outdir", str(tmp_path))
+    header, rows = read_csv(os.path.join(tmp_path, "table1.csv"))
+    assert [line.split(",") for line in out.strip().splitlines()] == [header, *rows]
 
 
 def test_tables_rejects_bad_selection(capsys, tmp_path):

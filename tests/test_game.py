@@ -1,16 +1,18 @@
 """Monte Carlo referee: determinism, statistical agreement with exact values,
-and transcript sanity."""
+pinned seeded counts, and chunked sampling with bounded memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kings.cube import conventional_cube_value, make_cube_setup, vaa_success_exact
 from kings.game import (
+    CHUNK,
     CubeConventionalStrategy,
     CubeVaaStrategy,
     GameConfig,
     GameResult,
-    play_once,
     run,
 )
 from kings.presets import (
@@ -51,6 +53,44 @@ def test_bit_exact_determinism(name, strategy, exact, n_choices):
     assert other != run(config)
 
 
+@pytest.mark.parametrize("preset, successes", [
+    (d4_optimal_strategy, 70182),
+    (d2_optimal_strategy, 90358),
+    (cube_vaa_strategy, 93323),
+    (cube_conventional_strategy, 86550),
+])
+def test_pinned_success_counts(preset, successes):
+    """Seeded counts are frozen: a run within one chunk reads the seed's
+    stream in the order choices, king uniforms, control uniforms."""
+    result = run(GameConfig(strategy=preset(), trials=100_000, seed=ACCEPTANCE_SEED))
+    assert result.successes == successes
+
+
+def test_multi_chunk_run_is_deterministic_and_consistent():
+    config = GameConfig(strategy=d2_optimal_strategy(), trials=3 * CHUNK + 1, seed=7)
+    result = run(config)
+    assert run(config) == result
+    assert sum(t for t, _ in result.per_choice.values()) == result.trials
+    assert sum(w for _, w in result.per_choice.values()) == result.successes
+    exact = success_exact(d2_optimal_strategy()).total
+    assert abs(result.estimate - exact) <= 4 * result.stderr
+
+
+def _traced_peak(strategy, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        run(GameConfig(strategy=strategy, trials=trials, seed=1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_flat_beyond_one_chunk():
+    strategy = d4_optimal_strategy()
+    one_chunk = _traced_peak(strategy, CHUNK)
+    assert _traced_peak(strategy, 3 * CHUNK + 1) <= 1.5 * one_chunk
+
+
 def test_per_choice_tallies_are_consistent():
     result = run(GameConfig(strategy=d2_optimal_strategy(), trials=60_000, seed=4))
     totals = [t for t, _ in result.per_choice.values()]
@@ -85,38 +125,9 @@ def test_guessed_basis_always_succeeds():
     assert w == t
 
 
-def test_play_once_transcript():
-    rng = np.random.default_rng(8)
-    strategy = d2_optimal_strategy()
-    wins = 0
-    for _ in range(400):
-        rec = play_once(strategy, rng)
-        assert 0 <= rec.king_choice <= 2
-        assert 0 <= rec.king_outcome <= 1
-        assert 0 <= rec.control_outcome <= 1
-        assert rec.success == (rec.prediction == rec.king_outcome)
-        wins += rec.success
-    # loose 4-sigma check around the exact value
-    exact = success_exact(strategy).total
-    assert abs(wins / 400 - exact) < 4 * np.sqrt(exact * (1 - exact) / 400)
-
-
-def test_play_once_cube_modes():
-    rng = np.random.default_rng(21)
-    for strategy in (cube_vaa_strategy(), cube_conventional_strategy()):
-        for _ in range(100):
-            rec = play_once(strategy, rng)
-            assert 0 <= rec.king_choice <= 3
-            assert rec.king_outcome in (1, -1)
-            assert rec.prediction in (1, -1)
-            assert rec.success == (rec.prediction == rec.king_outcome)
-
-
 def test_unsupported_strategy_type():
     with pytest.raises(TypeError):
         run(GameConfig(strategy="nonsense", trials=10, seed=0))
-    with pytest.raises(TypeError):
-        play_once("nonsense", np.random.default_rng(0))
 
 
 def test_game_result_equality_is_field_wise():

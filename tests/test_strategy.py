@@ -63,9 +63,9 @@ def test_repair_keeps_bijective_bases_and_fixes_the_rest():
     assert [repaired.forward[(1, j)] for j in range(3)] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("d, repeats", [(5, 5), (7, 2)])
+@pytest.mark.parametrize("d, repeats", [(5, 5), (7, 2), (2, 50), (3, 50), (4, 50)])
 def test_repair_hungarian_agrees_with_brute_force(d, repeats):
-    """The d > 4 assignment path must find the same score as exhaustive search."""
+    """Hungarian repair must find the same score as exhaustive search, every d."""
     family = construct_mub(d)
     rng = np.random.default_rng(42 + d)
     for _ in range(repeats):
@@ -102,6 +102,14 @@ def test_strategy_rejects_non_orthonormal_control():
     skew = OrthonormalBasis(label=None, states=np.array([[1, 0], [0.6, 0.8]]))
     with pytest.raises(ValueError):
         build_strategy(family, 0, 0, skew)
+
+
+@pytest.mark.parametrize("prep_basis, prep_index", [(5, 0), (-1, 0), (0, 4), (0, -1)])
+def test_strategy_rejects_out_of_range_preparation(prep_basis, prep_index):
+    family = construct_mub(4)
+    control = d4_optimal_strategy().control
+    with pytest.raises(ValueError, match="prep_"):
+        build_strategy(family, prep_basis, prep_index, control)
 
 
 def test_family_basis_control_value():
