@@ -21,6 +21,8 @@ def main() -> None:
     print(f"all stay at least delta = {report.delta} away: {report.passed}")
     print(f"closest approach on the grid (worst tuple): {report.worst:.12f}")
     print(f"proven floor: {report.floor:.6f} (grid minimum - slack {report.slack:.6f})")
+    print(f"grid nodes evaluated: {report.evaluated} of {report.grid_nodes} "
+          f"(the rest are ruled out by the same Lipschitz bound)")
 
     relaxed = relaxed_f_max(family, restarts=64, seed=0)
     ceiling = 3 * overlap_target(3)

@@ -44,26 +44,22 @@ def overlap_target(d: int) -> float:
     return float((rd + d - 1) / (d * rd))
 
 
+def _split_mass(d: int, k: int, name: str) -> float:
+    _check_dim(d)
+    if not 0 <= k <= d + 1:
+        raise ValueError(f"{name} must lie in 0..{d + 1}, got {k}")
+    rd = np.sqrt(d)
+    return 0.0 if k == 0 else float((rd + k - 1) / (rd * (d + 1)))
+
+
 def guess_bound(d: int, r: int) -> float:
     """Bound on the total success mass of r outright-guessed bases."""
-    _check_dim(d)
-    if not 0 <= r <= d + 1:
-        raise ValueError(f"r must lie in 0..{d + 1}, got {r}")
-    if r == 0:
-        return 0.0
-    rd = np.sqrt(d)
-    return float((rd + r - 1) / (rd * (d + 1)))
+    return _split_mass(d, r, "r")
 
 
 def control_bound(d: int, s: int) -> float:
     """Bound on the total success mass of s control-covered bases."""
-    _check_dim(d)
-    if not 0 <= s <= d + 1:
-        raise ValueError(f"s must lie in 0..{d + 1}, got {s}")
-    if s == 0:
-        return 0.0
-    rd = np.sqrt(d)
-    return float((rd + s - 1) / ((d + 1) * rd))
+    return _split_mass(d, s, "s")
 
 
 def total_bound(d: int, r: int) -> float:

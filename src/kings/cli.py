@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -233,6 +234,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             "worst_min_deviation": report.worst,
             "slack": report.slack,
             "floor": report.floor,
+            "evaluated_nodes": report.evaluated,
+            "grid_nodes": report.grid_nodes,
             "relaxed_overlap_sum_max": relaxed.value,
             "overlap_sum_ceiling": ceiling,
             "gap": ceiling - relaxed.value,
@@ -292,21 +295,13 @@ def cmd_cube(args: argparse.Namespace) -> int:
     return 0
 
 
-_SIM_MODES = ("d4", "d2", "cube-vaa", "cube-conv")
+_SIM_MODES = {"d4": d4_optimal_strategy, "d2": d2_optimal_strategy,
+              "cube-vaa": cube_vaa_strategy, "cube-conv": cube_conventional_strategy}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    if args.mode == "d4":
-        strategy = d4_optimal_strategy()
-    elif args.mode == "d2":
-        strategy = d2_optimal_strategy()
-    elif args.mode == "cube-vaa":
-        strategy = cube_vaa_strategy()
-    elif args.mode == "cube-conv":
-        strategy = cube_conventional_strategy()
-    else:
-        raise UsageError(f"unknown mode {args.mode!r}; choose from {_SIM_MODES}")
+    strategy = _SIM_MODES[args.mode]()
     try:
         result = run(GameConfig(strategy=strategy, trials=args.trials, seed=seed))
     except ValueError as exc:
@@ -401,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_cube, variant="conventional")
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo referee")
-    p.add_argument("--mode", type=str, required=True, choices=_SIM_MODES)
+    p.add_argument("--mode", type=str, required=True, choices=tuple(_SIM_MODES))
     p.add_argument("--trials", type=int, default=100_000)
     p.set_defaults(func=cmd_simulate)
 
@@ -421,6 +416,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.tolerance is not None and not 0 < args.tolerance < math.inf:
+            raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

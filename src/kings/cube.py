@@ -189,8 +189,7 @@ def conventional_cube_rule(setup: CubeGameSetup, direction: np.ndarray) -> dict[
 
 def conventional_baseline(setup: CubeGameSetup) -> float:
     """Best constant-guess success: always call the likelier sign, 3/4."""
-    dots = setup.diagonals[1:] @ setup.diagonals[0]
-    return float(0.25 + 0.25 * np.sum((1.0 + np.abs(dots)) / 2.0))
+    return conventional_cube_value(setup, setup.diagonals[0])
 
 
 @dataclass
@@ -204,17 +203,6 @@ class CubeConventionalResult:
     co_optima: list[np.ndarray]
     great_circle: int | None
     grid_best: float
-
-
-def _canonical_direction(setup: CubeGameSetup, m: np.ndarray) -> np.ndarray:
-    """Pick the obtuse-angle representative of an optimal axis.
-
-    The objective only sees |m . n_a|, so m and -m are equivalent; report the
-    one making an angle >= 90 degrees with the preparation diagonal.
-    """
-    if float(m @ setup.diagonals[0]) > 0:
-        return -m
-    return m
 
 
 def _great_circle_tag(setup: CubeGameSetup, m: np.ndarray, *, atol: float = 1e-6) -> int | None:
@@ -250,10 +238,8 @@ def conventional_cube_optimize(
     signs = np.array([(1, s2, s3) for s2, s3 in itertools.product((-1, 1), repeat=2)])
     sums = signs @ setup.diagonals[1:]
     norms = np.linalg.norm(sums, axis=1)
-    co = [
-        _canonical_direction(setup, v / nv)
-        for v, nv in zip(sums, norms) if nv > norms.max() - 1e-12
-    ]
+    axes = [v / nv for v, nv in zip(sums, norms) if nv > norms.max() - 1e-12]
+    co = [-m if float(m @ setup.diagonals[0]) > 0 else m for m in axes]
     best = co[0]
 
     # on the grid, m . n = sin(theta) (n_x cos(phi) + n_y sin(phi)) + cos(theta) n_z

@@ -6,7 +6,7 @@ immutable; nothing here mutates its arguments.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,24 +72,3 @@ def same_ray(a: Array, b: Array, *, atol: float | None = None) -> bool:
     atol = DEFAULT.comparison if atol is None else atol
     return abs(abs(inner(a, b)) - 1.0) <= atol
 
-
-# --- JSON encoding of complex data -----------------------------------------
-#
-# Complex numbers serialize as {"re": x, "im": y} everywhere the CLI emits
-# JSON, and states as arrays of those objects.
-
-def complex_to_json(z: complex) -> dict[str, float]:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def complex_from_json(obj: dict[str, float]) -> complex:
-    return complex(float(obj["re"]), float(obj["im"]))
-
-
-def state_to_json(vec: Array) -> list[dict[str, float]]:
-    return [complex_to_json(z) for z in np.asarray(vec)]
-
-
-def state_from_json(items: Iterable[dict[str, float]]) -> Array:
-    return np.array([complex_from_json(o) for o in items])

@@ -13,7 +13,8 @@ each saturate the conventional success bound in d = 4.
 
 The analogous d = 3 construction has no solution.  certify_d3_impossible
 proves it with a phase grid plus a Lipschitz bound: every index tuple has a
-floor that no phases get below, and every floor sits above delta.
+floor that no phases get below, and every floor sits above delta.  The same
+bound prunes the grid, so only a few percent of its nodes are evaluated.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import overlap_target
 from .mub import MubFamily, OrthonormalBasis
@@ -101,6 +101,7 @@ def refine_signal_phases(
     """
     comps = np.array([family.state(m + 1, j) for m, j in enumerate(state.indices)])
     start = np.angle(np.asarray(state.phases))
+    from scipy.optimize import minimize  # scipy loads only when a polish runs
     f = _phase_objective(comps, family.dim)
     res = minimize(f, start, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
@@ -155,6 +156,7 @@ def off_lattice_deviation(
     starts = [np.array([ang[gi[0]], ang[gi[1]], ang[gi[2]]])]
     rng = np.random.default_rng(seed)
     starts += [rng.uniform(0, 2 * np.pi, 3) for _ in range(extra_starts)]
+    from scipy.optimize import minimize  # scipy loads only when a polish runs
     f = _phase_objective(comps, family.dim)
     best = float(worst[gi])
     for s in starts:
@@ -219,11 +221,13 @@ class TupleDeviation:
 
 @dataclass
 class ImpossibilityReport:
-    """Outcome of the d = 3 certificate over all index tuples."""
+    """Outcome of the d = 3 certificate: `evaluated` of the `grid_nodes` node values computed."""
 
     dim: int
     delta: float
     tuples: list[TupleDeviation]
+    evaluated: int
+    grid_nodes: int
 
     @property
     def worst(self) -> float:
@@ -245,6 +249,20 @@ class ImpossibilityReport:
         return self.floor > self.delta
 
 
+COARSE_STRIDE = 8  # certify_d3_impossible's coarse pass keeps every 8th node per angle
+
+
+def _grid_deviation(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Max overlap deviation from overlap_target(3) at the phase pairs (u, v), broadcast."""
+    n2 = _norm_constant(3) ** 2
+    target = overlap_target(3)
+    dev = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+    for gm in g:
+        amp = gm[0] + gm[1] * u + gm[2] * v
+        np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
+    return dev
+
+
 def certify_d3_impossible(
     family: MubFamily,
     *,
@@ -256,38 +274,52 @@ def certify_d3_impossible(
     With the first phase fixed to 1 and the free angles theta_1, theta_2,
     each constituent overlap is o_m = n^2 |sum_k g_mk e^(i theta_k)|^2, where
     g is the tuple's Gram matrix.  For each of the 27 tuples the maximum
-    deviation of the three overlaps from overlap_target(3) is evaluated on a
-    vectorized grid of spacing h = `grid_deg`.  The k = j term of the sum
+    deviation of the three overlaps from overlap_target(3) is minimized over
+    a grid of spacing h = `grid_deg`.  The k = j term of the sum
     drops out of the derivative, so |d o_m / d theta_j| <= 2 n^2 |g_mj|
     sum_{k != j} |g_mk|; every point lies within h/2 of a grid node in each
     angle, so no phase pair beats the grid minimum by more than the slack
     h n^2 max_m sum_{j=1,2} |g_mj| sum_{k != j} |g_mk|.  Passes when the floor,
     grid minimum minus slack over all tuples, exceeds `delta`.
+
+    The grid minimum is exact but found coarse to fine.  Every node lies
+    within b/2 steps (b = COARSE_STRIDE, indices mod the step count) of a
+    node c of the coarse grid of every b-th node in each angle, so its value
+    is at least dev(c) - b slack.  Cells with dev(c) - (1 + 1e-9) b slack
+    above the coarse minimum (1e-9 covers rounding) are dropped; the minimum
+    over the nodes of the other cells, ties to the lowest flat index, is the
+    grid minimum.
     """
     d = family.dim
     if d != 3:
         raise ValueError(f"this certificate is specific to dim 3, got {d}")
     n2 = _norm_constant(3) ** 2
-    target = overlap_target(3)
     steps = int(round(360 / grid_deg))
     ang = 2 * np.pi * np.arange(steps) / steps
-    u = np.exp(1j * ang)[:, None]
-    v = np.exp(1j * ang)[None, :]
+    phases = np.exp(1j * ang)
+    b = COARSE_STRIDE
+    coarse = np.arange(0, steps, b)
+    offsets = np.arange(-(b // 2), b - b // 2)
     tuples: list[TupleDeviation] = []
+    evaluated = 0
     for indices in itertools.product(range(3), repeat=3):
         comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
         g = comps.conj() @ comps.T
-        dev = np.zeros((steps, steps))
-        for gm in g:
-            amp = gm[0] + gm[1] * u + gm[2] * v
-            np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
-        gi = np.unravel_index(int(np.argmin(dev)), dev.shape)
         a = np.abs(g)
         grad = (a * (a.sum(axis=1, keepdims=True) - a))[:, 1:].sum(axis=1)
-        tuples.append(TupleDeviation(indices=indices, deviation=float(dev[gi]),
-                                     angles=(float(ang[gi[0]]), float(ang[gi[1]])),
-                                     slack=float(2 * np.pi / steps * n2 * grad.max())))
-    return ImpossibilityReport(dim=3, delta=delta, tuples=tuples)
+        slack = float(2 * np.pi / steps * n2 * grad.max())
+        dev = _grid_deviation(g, phases[coarse][:, None], phases[coarse][None, :])
+        ci, cj = np.nonzero(dev - (1 + 1e-9) * b * slack <= dev.min())
+        rows = (coarse[ci, None, None] + offsets[:, None]) % steps
+        cols = (coarse[cj, None, None] + offsets) % steps
+        fine = _grid_deviation(g, phases[rows], phases[cols])
+        evaluated += dev.size + fine.size
+        flat = np.broadcast_to(rows * steps + cols, fine.shape)
+        i, j = divmod(int(flat[fine == fine.min()].min()), steps)
+        tuples.append(TupleDeviation(indices=indices, deviation=float(fine.min()),
+                                     angles=(float(ang[i]), float(ang[j])), slack=slack))
+    return ImpossibilityReport(dim=3, delta=delta, tuples=tuples, evaluated=evaluated,
+                               grid_nodes=27 * steps ** 2)
 
 
 def single_overlap_deviation(

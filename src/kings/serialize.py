@@ -9,38 +9,45 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .bounds import BoundReport
 from .game import GameResult
 from .mub import MubFamily, OrthonormalBasis
-from .qstate import complex_from_json, complex_to_json, state_from_json, state_to_json
 from .strategy import SuccessBreakdown
+
+
+# --- complex numbers and states ----------------------------------------------
+
+
+def complex_to_json(z: complex) -> dict[str, float]:
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
+def complex_from_json(obj: dict[str, float]) -> complex:
+    return complex(float(obj["re"]), float(obj["im"]))
+
+
+def state_to_json(vec: np.ndarray) -> list[dict[str, float]]:
+    return [complex_to_json(z) for z in np.asarray(vec)]
+
+
+def state_from_json(items: Iterable[dict[str, float]]) -> np.ndarray:
+    return np.array([complex_from_json(o) for o in items])
 
 
 # --- family ------------------------------------------------------------------
 
 
 def family_to_json(family: MubFamily) -> dict[str, Any]:
-    return {
-        "dim": family.dim,
-        "bases": [
-            {"label": b.label, "states": [state_to_json(s) for s in b.states]}
-            for b in family.bases
-        ],
-    }
+    return {"dim": family.dim, "bases": [basis_to_json(b) for b in family.bases]}
 
 
 def family_from_json(obj: dict[str, Any]) -> MubFamily:
-    bases = tuple(
-        OrthonormalBasis(
-            label=entry["label"],
-            states=np.array([state_from_json(s) for s in entry["states"]]),
-        )
-        for entry in obj["bases"]
-    )
+    bases = tuple(basis_from_json(entry) for entry in obj["bases"])
     return MubFamily(dim=int(obj["dim"]), bases=bases)
 
 
@@ -153,5 +160,5 @@ __all__ = [
     "bound_report_to_json", "breakdown_to_json",
     "game_result_to_json", "game_result_from_json",
     "write_csv", "read_csv",
-    "complex_to_json", "complex_from_json",
+    "complex_to_json", "complex_from_json", "state_to_json", "state_from_json",
 ]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .mub import MubFamily, OrthonormalBasis, orthonormality_defect
 from .config import DEFAULT
@@ -101,6 +100,7 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     for i in raw.covered:
         ks = raw.outcomes(i)
         if len(set(ks)) != d:
+            from scipy.optimize import linear_sum_assignment  # scipy loads only for a repair
             rows, cols = linear_sum_assignment(overlaps[i], maximize=True)  # [j, k]
             ks = cols[np.argsort(rows)]
         for j in range(d):

@@ -21,9 +21,8 @@ import numpy as np
 from .bounds import bound_p
 from .cube import collapse_row_labels, make_cube_setup, vaa_overlap_table
 from .mub import construct_mub
-from .qstate import complex_to_json
 from .search import MeasurementBasis4, SignalState, find_measurement_bases, find_signal_states
-from .serialize import family_csv_header, family_to_csv_rows, family_to_json, write_csv
+from .serialize import family_csv_header, family_to_csv_rows, family_to_json, state_to_json, write_csv
 
 TABLE_DIMS = (2, 3, 4, 5, 8, 9)
 
@@ -95,7 +94,7 @@ def write_tables(outdir: str, which: tuple[int, ...] = (1, 2, 3, 4, 5)) -> list[
                         {
                             "number": num,
                             "indices": [x + 1 for x in s.indices],
-                            "phases": [complex_to_json(z) for z in s.phases],
+                            "phases": state_to_json(s.phases),
                         }
                         for num, s in enumerate(signals, start=1)
                     ]

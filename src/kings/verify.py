@@ -189,7 +189,8 @@ def criterion_d3_impossibility() -> CriterionResult:
         problems.append(f"relaxed maximum {relaxed.value!r} does not sit below {ceiling!r}")
     passed = not problems and elapsed < 60.0
     details = (f"all 27 tuples fail by >= {report.worst:.6f}, floor - delta "
-               f"{report.floor - report.delta:.6f}; overlap-sum gap {gap:.6f}")
+               f"{report.floor - report.delta:.6f}; overlap-sum gap {gap:.6f}; "
+               f"{report.evaluated} of {report.grid_nodes} grid nodes evaluated")
     if problems:
         details = "; ".join(problems)
     return CriterionResult(6, "no saturating states in d=3", passed, details, elapsed, 60.0)

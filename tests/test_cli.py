@@ -165,6 +165,8 @@ def test_search_d3_impossibility_report(capsys, tmp_path):
     assert report["floor"] == pytest.approx(report["worst_min_deviation"] - report["slack"])
     assert report["floor"] > report["delta"]
     assert all(t["deviation"] - t["slack"] >= report["floor"] for t in report["tuples"])
+    assert report["grid_nodes"] == 27 * 720**2
+    assert 0 < report["evaluated_nodes"] < report["grid_nodes"]
 
 
 def test_search_rejects_other_dims(capsys):
@@ -209,6 +211,12 @@ def test_cube_conventional(capsys):
     ("eval", "--d", "4", "--control", "builtin", "--prep-basis", "9"),
     ("eval", "--d", "4", "--control", "builtin", "--prep-index", "9"),
     ("eval", "--d", "4", "--control", "builtin", "--prep-basis", "-1"),
+    ("mub", "--d", "4", "--tolerance", "-1"),
+    ("mub", "--d", "4", "--tolerance", "0"),
+    ("mub", "--d", "4", "--tolerance", "nan"),
+    ("mub", "--d", "4", "--tolerance", "inf"),
+    ("simulate", "--mode", "d2", "--seed", "-1"),
+    ("search", "--d", "3", "--seed", "-1"),
 ])
 def test_bad_numbers_exit_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -216,6 +224,8 @@ def test_bad_numbers_exit_2_with_one_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+    flag = next((a for a in argv if a in ("--seed", "--tolerance")), None)
+    assert flag is None or flag in err
 
 
 def test_simulate_round_trips(capsys):

@@ -1,0 +1,40 @@
+"""The paper-reproduction path runs on numpy alone: scipy stays unimported."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import kings
+
+REPRODUCE = """
+import sys, tempfile
+import kings
+from kings import bounds, cube, game, mub, presets, search, strategy, tables
+
+for d in (2, 3, 4, 5, 7):
+    assert mub.certify_family(mub.construct_mub(d)).passed
+family4 = mub.construct_mub(4)
+bases = search.find_measurement_bases(search.find_signal_states(family4))
+strat = strategy.build_strategy(family4, 0, 0, bases[0].basis)
+strategy.success_exact(strat)
+strategy.complement_strategy(strat).success()
+family3 = mub.construct_mub(3)
+assert search.certify_d3_impossible(family3).passed
+bounds.relaxed_f_max(family3, restarts=4, seed=0)
+setup = cube.make_cube_setup()
+cube.vaa_success_exact(setup)
+cube.conventional_cube_optimize(setup, grid_deg=1.0)
+with tempfile.TemporaryDirectory() as out:
+    tables.write_tables(out)
+strategies = [presets.d4_optimal_strategy(), presets.d2_optimal_strategy(),
+              presets.cube_vaa_strategy(), presets.cube_conventional_strategy()]
+game.run(game.GameConfig(strategy=strategies[0], trials=1000, seed=0))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_reproduce_path_never_imports_scipy():
+    src = str(Path(kings.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                           + REPRODUCE], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from kings.qstate import (
     as_state,
     born_probability,
-    complex_from_json,
-    complex_to_json,
     inner,
     same_ray,
     spin_up_state,
-    state_from_json,
-    state_to_json,
     tensor,
 )
+from kings.serialize import complex_from_json, complex_to_json, state_from_json, state_to_json
 
 
 def test_as_state_accepts_unit_vectors():

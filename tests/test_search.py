@@ -165,6 +165,57 @@ def test_d3_floor_holds_off_the_grid(grid_deg):
         assert at_grid == pytest.approx(t.deviation, abs=1e-12)
 
 
+def _d3_full_grid(family, grid_deg):
+    """Reference: the certificate's grid minimum with every node evaluated."""
+    import itertools
+
+    from kings.search import _norm_constant
+
+    n2 = _norm_constant(3) ** 2
+    target = overlap_target(3)
+    steps = int(round(360 / grid_deg))
+    ang = 2 * np.pi * np.arange(steps) / steps
+    u = np.exp(1j * ang)[:, None]
+    v = np.exp(1j * ang)[None, :]
+    tuples = []
+    for indices in itertools.product(range(3), repeat=3):
+        comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
+        g = comps.conj() @ comps.T
+        dev = np.zeros((steps, steps))
+        for gm in g:
+            amp = gm[0] + gm[1] * u + gm[2] * v
+            np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
+        gi = np.unravel_index(int(np.argmin(dev)), dev.shape)
+        a = np.abs(g)
+        grad = (a * (a.sum(axis=1, keepdims=True) - a))[:, 1:].sum(axis=1)
+        tuples.append((indices, float(dev[gi]), (float(ang[gi[0]]), float(ang[gi[1]])),
+                       float(2 * np.pi / steps * n2 * grad.max())))
+    return tuples
+
+
+@pytest.mark.parametrize("grid_deg", [0.5, 1.0, 0.7, 3.0, 10.0])
+def test_d3_pruned_grid_equals_full_grid(grid_deg):
+    """Coarse-to-fine pruning returns the full grid's minimum, bit for bit.
+
+    At 0.7 degrees the step count (514) is not a multiple of the coarse
+    stride, so the wrap-around cells are exercised too, and grid ties must
+    go to the lowest flat index.  At 3 and 10 degrees some tuples have their
+    minimum outside the best coarse cell, so pruning without the Lipschitz
+    term would fail.
+    """
+    family = construct_mub(3)
+    report = certify_d3_impossible(family, grid_deg=grid_deg)
+    got = [(t.indices, t.deviation, t.angles, t.slack) for t in report.tuples]
+    assert got == _d3_full_grid(family, grid_deg)
+    steps = int(round(360 / grid_deg))
+    assert report.grid_nodes == 27 * steps**2
+
+
+def test_d3_certificate_evaluates_a_fraction_of_the_grid(d3_report):
+    assert d3_report.grid_nodes == 27 * 720**2
+    assert 0 < d3_report.evaluated < d3_report.grid_nodes / 20
+
+
 def test_d3_worst_matches_frozen_value(d3_report):
     assert d3_report.worst == pytest.approx(D3_WORST_MIN_DEVIATION, abs=1e-9)
     # the easiest and hardest tuples span a narrow, stable band
