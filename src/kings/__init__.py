@@ -74,8 +74,7 @@ from .search import (
     certify_optimal_strategy,
     find_measurement_bases,
     find_signal_states,
-    off_lattice_deviation,
-    refine_signal_phases,
+    lattice_deviations,
     signal_candidate,
     single_overlap_deviation,
 )
@@ -119,8 +118,8 @@ __all__ = [
     # search
     "ImpossibilityReport", "MeasurementBasis4", "SignalState", "TupleDeviation",
     "certify_d3_impossible", "certify_optimal_strategy", "find_measurement_bases",
-    "find_signal_states", "off_lattice_deviation", "refine_signal_phases",
-    "signal_candidate", "single_overlap_deviation",
+    "find_signal_states", "lattice_deviations", "signal_candidate",
+    "single_overlap_deviation",
     # strategy
     "AssignmentMap", "ConventionalStrategy", "GeneralStrategy", "SuccessBreakdown",
     "assign_greedy", "build_strategy", "complement_strategy", "overlap_matrix",

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, NoReturn
 
 from . import __version__
 from .bounds import bound_report, overlap_target, relaxed_f_max
@@ -207,7 +207,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    os.makedirs(args.outdir, exist_ok=True)
     manifest = make_manifest("search", {"d": args.d, "emit": args.emit,
                                         "outdir": args.outdir}, seed, args.tolerance)
     if args.d == 4:
@@ -223,6 +222,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             print(p)
         return 0
     if args.d == 3:
+        os.makedirs(args.outdir, exist_ok=True)
         family = construct_mub(3)
         report = certify_d3_impossible(family)
         relaxed = relaxed_f_max(family, excluded=0, restarts=64, seed=seed)
@@ -340,39 +340,50 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def _common() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed where applicable")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override the comparison tolerance where applicable")
-    p.add_argument("--emit", type=str, default=None,
-                   help="output format/selection (per subcommand)")
-    p.add_argument("--out", type=str, default=None,
-                   help="write to this file instead of stdout (manifest sibling)")
-    return p
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one `error:` line and exit code 2.
+
+    Abbreviations are off, so `--out` is not taken for `--outdir`.
+    """
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common()
-    parser = argparse.ArgumentParser(
+    # shared flags, each attached only to the subcommands that read it
+    seeded, emit, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed where applicable")
+    seeded.add_argument("--tolerance", type=float, default=None,
+                        help="override the comparison tolerance where applicable")
+    emit.add_argument("--emit", type=str, default=None,
+                      help="output format/selection (per subcommand)")
+    out.add_argument("--out", type=str, default=None,
+                     help="write to this file instead of stdout (manifest sibling)")
+    parser = _Parser(
         prog="kings",
         description="Retrodicting measurement outcomes across unbiased bases: "
                     "constructions, bounds, searches and the cube-diagonal game.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.set_defaults(seed=None, tolerance=None)  # verify takes neither
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mub", parents=[common], help="construct and certify an unbiased family")
+    p = sub.add_parser("mub", parents=[seeded, emit, out],
+                       help="construct and certify an unbiased family")
     p.add_argument("--d", type=int, required=True, help="Hilbert space dimension")
     p.set_defaults(func=cmd_mub)
 
-    p = sub.add_parser("bound", parents=[common], help="success bounds and their split forms")
+    p = sub.add_parser("bound", parents=[seeded, out], help="success bounds and their split forms")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--r", type=int, default=None, help="number of guessed bases")
     p.add_argument("--table1", action="store_true", help="emit the bound summary as CSV")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("eval", parents=[common], help="exact success of a control basis")
+    p = sub.add_parser("eval", parents=[seeded, out], help="exact success of a control basis")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--control", type=str, required=True,
                    help="'builtin' (d=2 or 4) or a JSON basis file")
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prep-index", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[seeded, emit],
                        help="equal-overlap state search (d=4) / impossibility certificate (d=3)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--outdir", type=str, default=".")
@@ -388,24 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cube", help="cube-diagonal qubit game")
     cube_sub = p.add_subparsers(dest="variant", required=True)
-    v = cube_sub.add_parser("vaa", parents=[common], help="entangled-pair protocol tables")
+    v = cube_sub.add_parser("vaa", parents=[seeded, emit], help="entangled-pair protocol tables")
     v.add_argument("--outdir", type=str, default=None)
     v.set_defaults(func=cmd_cube, variant="vaa")
-    c = cube_sub.add_parser("conventional", parents=[common], help="ancilla-free optimum")
+    c = cube_sub.add_parser("conventional", parents=[seeded, out], help="ancilla-free optimum")
     c.add_argument("--grid-deg", type=float, default=0.25)
     c.set_defaults(func=cmd_cube, variant="conventional")
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo referee")
+    p = sub.add_parser("simulate", parents=[seeded, out], help="Monte Carlo referee")
     p.add_argument("--mode", type=str, required=True, choices=tuple(_SIM_MODES))
     p.add_argument("--trials", type=int, default=100_000)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("tables", parents=[common], help="write reference tables as CSV + JSON")
+    p = sub.add_parser("tables", parents=[seeded], help="write reference tables as CSV + JSON")
     p.add_argument("--which", type=str, default="1,2,3,4,5")
     p.add_argument("--outdir", type=str, default="tables")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("verify", parents=[common], help="run the acceptance criteria")
+    p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--profile", type=str, default="full", choices=("quick", "full"))
     p.set_defaults(func=cmd_verify)
 
@@ -413,15 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.tolerance is not None and not 0 < args.tolerance < math.inf:
             raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # an OSError names the path it could not use
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

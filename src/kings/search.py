@@ -11,10 +11,14 @@ with phases restricted to 4th roots of unity yields exactly 32 solutions,
 whose orthogonality graph has exactly 32 4-cliques: orthonormal bases that
 each saturate the conventional success bound in d = 4.
 
-The analogous d = 3 construction has no solution.  certify_d3_impossible
-proves it with a phase grid plus a Lipschitz bound: every index tuple has a
-floor that no phases get below, and every floor sits above delta.  The same
-bound prunes the grid, so only a few percent of its nodes are evaluated.
+lattice_deviations answers the equal-overlap question for free phases in
+any d: a Lipschitz branch and bound over a phase lattice gives every index
+tuple its exact lattice minimum and a floor that no phases get below.  In
+d = 4, on the 11.25 degree lattice, the 224 tuples outside the catalogue
+have positive floors, so only the 32 catalogue tuples reach the target.
+The analogous d = 3 construction has no solution: certify_d3_impossible
+checks that every floor sits above delta, evaluating a fraction of a
+percent of the nodes.
 """
 
 from __future__ import annotations
@@ -89,83 +93,6 @@ def find_signal_states(family: MubFamily, *, tol: float = 1e-9) -> list[SignalSt
     return found
 
 
-def refine_signal_phases(
-    family: MubFamily,
-    state: SignalState,
-) -> tuple[float, np.ndarray]:
-    """Continuously re-optimize a solution's phases.
-
-    Returns (residual deviation, optimal phase angles).  For a true solution
-    the optimizer must stay put: the residual is ~0 and the angles move by
-    less than ~1e-7 from the 4th-root lattice point.
-    """
-    comps = np.array([family.state(m + 1, j) for m, j in enumerate(state.indices)])
-    start = np.angle(np.asarray(state.phases))
-    from scipy.optimize import minimize  # scipy loads only when a polish runs
-    f = _phase_objective(comps, family.dim)
-    res = minimize(f, start, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    return float(res.fun), np.asarray(res.x)
-
-
-def _phase_objective(comps: np.ndarray, d: int):
-    n = _norm_constant(d)
-    target = overlap_target(d)
-
-    def f(angles: np.ndarray) -> float:
-        coeffs = np.concatenate(([1.0], np.exp(1j * np.asarray(angles))))
-        chi = n * (coeffs[:, None] * comps).sum(axis=0)
-        overlaps = np.abs(comps.conj() @ chi) ** 2
-        return float(np.max(np.abs(overlaps - target)))
-
-    return f
-
-
-def off_lattice_deviation(
-    family: MubFamily,
-    indices: tuple[int, int, int, int],
-    *,
-    grid_deg: float = 6.0,
-    extra_starts: int = 8,
-    seed: int = 0,
-) -> float:
-    """Best (smallest) max overlap deviation over continuous phases.
-
-    Coarse vectorized grid seeds a Nelder-Mead polish, plus a few random
-    restarts.  Solutions of the scan reach ~0; for every other index tuple
-    the result stays bounded away from zero, confirming that no solutions
-    hide off the 4th-root lattice.
-    """
-    comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
-    gram = comps.conj() @ comps.T  # gram[m, m'] = <comp_m | comp_m'>
-    n = _norm_constant(family.dim)
-    target = 5.0 / 8.0
-    steps = int(round(360 / grid_deg))
-    ang = 2 * np.pi * np.arange(steps) / steps
-    u = np.exp(1j * ang)[:, None, None]
-    v = np.exp(1j * ang)[None, :, None]
-    w = np.exp(1j * ang)[None, None, :]
-    worst = None
-    for m in range(4):
-        c = gram[m]
-        amp = n * (c[0] + c[1] * u + c[2] * v + c[3] * w)
-        dev = np.abs(np.abs(amp) ** 2 - target)
-        worst = dev if worst is None else np.maximum(worst, dev)
-    flat = int(np.argmin(worst))
-    gi = np.unravel_index(flat, worst.shape)
-    starts = [np.array([ang[gi[0]], ang[gi[1]], ang[gi[2]]])]
-    rng = np.random.default_rng(seed)
-    starts += [rng.uniform(0, 2 * np.pi, 3) for _ in range(extra_starts)]
-    from scipy.optimize import minimize  # scipy loads only when a polish runs
-    f = _phase_objective(comps, family.dim)
-    best = float(worst[gi])
-    for s in starts:
-        res = minimize(f, s, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
-        best = min(best, float(res.fun))
-    return best
-
-
 def find_measurement_bases(states: list[SignalState], *, tol: float = 1e-9) -> list[MeasurementBasis4]:
     """All orthonormal quadruples among the signal states, canonically ordered.
 
@@ -207,12 +134,16 @@ def certify_optimal_strategy(family: MubFamily, basis: MeasurementBasis4) -> tup
 
 @dataclass
 class TupleDeviation:
-    """Grid minimum of one tuple's overlap deviation (d = 3); no phases beat its floor."""
+    """Lattice minimum of one index tuple's overlap deviation; no phases beat its floor.
 
-    indices: tuple[int, int, int]
+    `evaluated` counts the distinct lattice nodes at which it was computed.
+    """
+
+    indices: tuple[int, ...]
     deviation: float
-    angles: tuple[float, float]
+    angles: tuple[float, ...]
     slack: float
+    evaluated: int
 
     @property
     def floor(self) -> float:
@@ -249,18 +180,94 @@ class ImpossibilityReport:
         return self.floor > self.delta
 
 
-COARSE_STRIDE = 8  # certify_d3_impossible's coarse pass keeps every 8th node per angle
+TILE = 32  # side, in lattice steps, of the boxes lattice_deviations starts from
 
 
-def _grid_deviation(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Max overlap deviation from overlap_target(3) at the phase pairs (u, v), broadcast."""
-    n2 = _norm_constant(3) ** 2
-    target = overlap_target(3)
-    dev = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-    for gm in g:
-        amp = gm[0] + gm[1] * u + gm[2] * v
-        np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
-    return dev
+def _lattice_steps(grid_deg: float) -> int:
+    return int(round(360 / grid_deg))
+
+
+def lattice_deviations(family: MubFamily, *, grid_deg: float) -> list[TupleDeviation]:
+    """Lattice minimum and Lipschitz floor of the overlap deviation for every index tuple.
+
+    A tuple picks state j_m of basis m + 1 for m = 0..d-1; the d^d tuples come
+    in lexicographic order.  With theta_0 = 0 and k = d - 1 free angles
+    theta_1..theta_k, each constituent overlap is
+    o_m = n^2 |sum_l g_ml e^(i theta_l)|^2, where g is the tuple's Gram
+    matrix, and f = max_m |o_m - overlap_target(d)|.  The l = j term of the
+    sum drops out of the derivative, so |d o_m / d theta_j| <= 2 n^2 |g_mj|
+    sum_{l != j} |g_ml|.  Every point lies within h/2 of a node of the
+    lattice of spacing h = `grid_deg` in each angle, so no phases beat the
+    lattice minimum by more than the slack
+    h n^2 max_m sum_{j >= 1} |g_mj| sum_{l != j} |g_ml|.
+
+    The lattice minimum is exact but found by branch and bound.  Boxes of
+    nodes start as TILE-sided tiles (the last one per axis shorter).  Every
+    node of a box lies within r = max(size // 2) steps of its centre
+    c = lo + size // 2 in each angle, so its value is at least
+    f(c) - 2 r slack.  A box whose bound, with the slack widened by 1e-9 for
+    rounding, is above the tuple's least value so far is dropped; the others
+    are halved along every axis longer than one node until none are left.
+    Ties go to the lowest flat node index, as np.argmin over the full
+    lattice would choose.  A one-node box can repeat an earlier box's
+    centre; `evaluated` counts each node once.  The live boxes and every
+    evaluated node stay in memory, so a lattice where little is pruned
+    (d = 5 on a coarse grid) needs memory in proportion to its nodes.
+    """
+    d = family.dim
+    k = d - 1
+    n2 = _norm_constant(d) ** 2
+    target = overlap_target(d)
+    steps = _lattice_steps(grid_deg)
+    ang = 2 * np.pi * np.arange(steps) / steps
+    phases = np.exp(1j * ang)
+    index_tuples = list(itertools.product(range(d), repeat=d))
+    comps = family.array[1:][np.arange(d), np.array(index_tuples)]  # (tuple, m, component)
+    grams = comps.conj() @ comps.transpose(0, 2, 1)
+    a = np.abs(grams)
+    grad = (a * (a.sum(axis=2, keepdims=True) - a))[:, :, 1:].sum(axis=2)
+    slack = 2 * np.pi / steps * n2 * grad.max(axis=1)
+
+    ntup = len(index_tuples)
+    tile_lo = np.array(list(itertools.product(range(0, steps, TILE), repeat=k)))
+    tid = np.repeat(np.arange(ntup), len(tile_lo))
+    lo = np.tile(tile_lo, (ntup, 1))
+    size = np.minimum(TILE, steps - lo)
+    sides = np.array(list(itertools.product((0, 1), repeat=k)))  # lower/upper half per axis
+    best = np.full(ntup, np.inf)
+    seen = []  # (tuple id, value, flat node index) of every box centre evaluated
+    while tid.size:
+        c = lo + size // 2
+        dev = np.zeros(tid.size)
+        for gm in grams.transpose(1, 0, 2):  # row m of every tuple's Gram matrix
+            amp = gm[tid, 0]
+            for j in range(k):
+                amp = amp + gm[tid, j + 1] * phases[c[:, j]]
+            np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
+        seen.append((tid, dev, np.ravel_multi_index(tuple(c.T), (steps,) * k)))
+        np.minimum.at(best, tid, dev)
+        r = (size // 2).max(axis=1)
+        keep = (r > 0) & (dev - (1 + 1e-9) * 2 * r * slack[tid] <= best[tid])
+        # halve every axis: lower halves (empty where the side is 1) and upper halves
+        half = (size[keep] // 2)[:, None]
+        lo = (lo[keep][:, None] + sides * half).reshape(-1, k)
+        size = np.where(sides, size[keep][:, None] - half, half).reshape(-1, k)
+        nonempty = size.min(axis=1) > 0
+        tid, lo, size = np.repeat(tid[keep], len(sides))[nonempty], lo[nonempty], size[nonempty]
+
+    tid, dev, node = map(np.concatenate, zip(*seen))
+    nodes = steps ** k
+    key = np.sort(tid * nodes + node)  # np.unique would import numpy.ma, about 20 ms cold
+    evaluated = np.bincount(key[np.diff(key, prepend=-1) != 0] // nodes, minlength=ntup)
+    first = np.full(ntup, nodes)
+    at_min = dev == best[tid]
+    np.minimum.at(first, tid[at_min], node[at_min])
+    return [
+        TupleDeviation(indices=indices, deviation=float(best[t]), slack=float(slack[t]),
+                       angles=tuple(float(ang[i]) for i in np.unravel_index(first[t], (steps,) * k)),
+                       evaluated=int(evaluated[t]))
+        for t, indices in enumerate(index_tuples)
+    ]
 
 
 def certify_d3_impossible(
@@ -271,55 +278,20 @@ def certify_d3_impossible(
 ) -> ImpossibilityReport:
     """Prove no d = 3 signal state exists for any index tuple.
 
-    With the first phase fixed to 1 and the free angles theta_1, theta_2,
-    each constituent overlap is o_m = n^2 |sum_k g_mk e^(i theta_k)|^2, where
-    g is the tuple's Gram matrix.  For each of the 27 tuples the maximum
-    deviation of the three overlaps from overlap_target(3) is minimized over
-    a grid of spacing h = `grid_deg`.  The k = j term of the sum
-    drops out of the derivative, so |d o_m / d theta_j| <= 2 n^2 |g_mj|
-    sum_{k != j} |g_mk|; every point lies within h/2 of a grid node in each
-    angle, so no phase pair beats the grid minimum by more than the slack
-    h n^2 max_m sum_{j=1,2} |g_mj| sum_{k != j} |g_mk|.  Passes when the floor,
-    grid minimum minus slack over all tuples, exceeds `delta`.
-
-    The grid minimum is exact but found coarse to fine.  Every node lies
-    within b/2 steps (b = COARSE_STRIDE, indices mod the step count) of a
-    node c of the coarse grid of every b-th node in each angle, so its value
-    is at least dev(c) - b slack.  Cells with dev(c) - (1 + 1e-9) b slack
-    above the coarse minimum (1e-9 covers rounding) are dropped; the minimum
-    over the nodes of the other cells, ties to the lowest flat index, is the
-    grid minimum.
+    lattice_deviations gives each of the 27 index tuples its exact minimum
+    deviation on the lattice of spacing `grid_deg` in the two free angles,
+    and a floor, that minimum less the Lipschitz slack, below which no phase
+    pair gets.  Branch and bound finds the minimum: it drops every box of
+    nodes whose centre value less (1 + 1e-9) 2 r slack, r the box's
+    half-width in steps, is above the least value found so far.  Passes when
+    the floor over all tuples exceeds `delta`.
     """
-    d = family.dim
-    if d != 3:
-        raise ValueError(f"this certificate is specific to dim 3, got {d}")
-    n2 = _norm_constant(3) ** 2
-    steps = int(round(360 / grid_deg))
-    ang = 2 * np.pi * np.arange(steps) / steps
-    phases = np.exp(1j * ang)
-    b = COARSE_STRIDE
-    coarse = np.arange(0, steps, b)
-    offsets = np.arange(-(b // 2), b - b // 2)
-    tuples: list[TupleDeviation] = []
-    evaluated = 0
-    for indices in itertools.product(range(3), repeat=3):
-        comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
-        g = comps.conj() @ comps.T
-        a = np.abs(g)
-        grad = (a * (a.sum(axis=1, keepdims=True) - a))[:, 1:].sum(axis=1)
-        slack = float(2 * np.pi / steps * n2 * grad.max())
-        dev = _grid_deviation(g, phases[coarse][:, None], phases[coarse][None, :])
-        ci, cj = np.nonzero(dev - (1 + 1e-9) * b * slack <= dev.min())
-        rows = (coarse[ci, None, None] + offsets[:, None]) % steps
-        cols = (coarse[cj, None, None] + offsets) % steps
-        fine = _grid_deviation(g, phases[rows], phases[cols])
-        evaluated += dev.size + fine.size
-        flat = np.broadcast_to(rows * steps + cols, fine.shape)
-        i, j = divmod(int(flat[fine == fine.min()].min()), steps)
-        tuples.append(TupleDeviation(indices=indices, deviation=float(fine.min()),
-                                     angles=(float(ang[i]), float(ang[j])), slack=slack))
-    return ImpossibilityReport(dim=3, delta=delta, tuples=tuples, evaluated=evaluated,
-                               grid_nodes=27 * steps ** 2)
+    if family.dim != 3:
+        raise ValueError(f"this certificate is specific to dim 3, got {family.dim}")
+    tuples = lattice_deviations(family, grid_deg=grid_deg)
+    return ImpossibilityReport(dim=3, delta=delta, tuples=tuples,
+                               evaluated=sum(t.evaluated for t in tuples),
+                               grid_nodes=27 * _lattice_steps(grid_deg) ** 2)
 
 
 def single_overlap_deviation(

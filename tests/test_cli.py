@@ -1,11 +1,15 @@
 """End-to-end command-line checks: outputs parse with the library's own
 readers, manifests land next to artifacts, exit codes follow the contract."""
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kings.bounds import bound_p
 from kings.cli import main
@@ -169,9 +173,11 @@ def test_search_d3_impossibility_report(capsys, tmp_path):
     assert 0 < report["evaluated_nodes"] < report["grid_nodes"]
 
 
-def test_search_rejects_other_dims(capsys):
-    code, _, err = run_cli(capsys, "search", "--d", "5")
+def test_search_rejects_other_dims(capsys, tmp_path):
+    outdir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "search", "--d", "5", "--outdir", str(outdir))
     assert code == 2
+    assert not outdir.exists()
 
 
 def test_cube_vaa_stdout(capsys):
@@ -217,6 +223,16 @@ def test_cube_conventional(capsys):
     ("mub", "--d", "4", "--tolerance", "inf"),
     ("simulate", "--mode", "d2", "--seed", "-1"),
     ("search", "--d", "3", "--seed", "-1"),
+    ("tables", "--outdir", "/dev/null/x"),
+    ("search", "--d", "3", "--outdir", "/dev/null/x"),
+    ("search", "--d", "4", "--outdir", "/dev/null/x"),
+    ("cube", "vaa", "--outdir", "/dev/null/x"),
+    ("cube", "conventional", "--grid-deg", "5", "--out", "/dev/null/x"),
+    ("mub", "--d", "4", "--out", "/dev/null/x"),
+    ("bound", "--d", "3", "--out", "/dev/null/x"),
+    ("bound", "--table1", "--out", "/dev/null/x"),
+    ("eval", "--d", "4", "--control", "builtin", "--out", "/dev/null/x"),
+    ("simulate", "--mode", "d2", "--trials", "1000", "--out", "/dev/null/x"),
 ])
 def test_bad_numbers_exit_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -224,8 +240,79 @@ def test_bad_numbers_exit_2_with_one_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
-    flag = next((a for a in argv if a in ("--seed", "--tolerance")), None)
-    assert flag is None or flag in err
+    named = next((a for a in argv if a in ("--seed", "--tolerance", "/dev/null/x")), None)
+    assert named is None or named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed", "5"),
+    ("verify", "--out", "/dev/null/x"),
+    ("verify", "--tolerance", "1e-9"),
+    ("tables", "--emit", "csv"),
+    ("bound", "--d", "3", "--emit", "csv"),
+    ("simulate", "--mode", "d2", "--emit", "csv"),
+    ("search", "--d", "4", "--out", "x.json"),
+    ("tables", "--out", "x.json"),
+    ("cube", "vaa", "--out", "x.json"),
+    ("eval", "--d", "4", "--control", "builtin", "--emit", "json"),
+    ("cube", "conventional", "--emit", "json"),
+    ("mub", "--d", "nan"),
+])
+def test_unread_flags_and_malformed_values_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ")
+    assert argv[-2] in out.err
+
+
+# Every subcommand with valid required arguments, and the flags it reads.
+FUZZ_COMMANDS = [
+    (("mub", "--d", "4"), ("--seed", "--tolerance", "--d", "--out")),
+    (("bound", "--d", "3"), ("--seed", "--tolerance", "--d", "--out")),
+    (("eval", "--d", "4", "--control", "builtin"),
+     ("--seed", "--tolerance", "--d", "--prep-basis", "--prep-index", "--out")),
+    (("search", "--d", "4"), ("--seed", "--tolerance", "--d", "--outdir")),
+    (("cube", "vaa"), ("--seed", "--tolerance", "--outdir")),
+    (("cube", "conventional", "--grid-deg", "5"), ("--seed", "--tolerance", "--grid-deg", "--out")),
+    (("simulate", "--mode", "d2", "--trials", "1000"),
+     ("--seed", "--tolerance", "--trials", "--out")),
+    (("tables", "--which", "1"), ("--seed", "--tolerance", "--outdir")),
+]
+ZERO_IS_VALID = ("--seed", "--prep-basis", "--prep-index")
+NOT_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+
+
+@st.composite
+def bad_command_lines(draw):
+    """One subcommand with one of its flags set to a bad value (the last one wins)."""
+    base, flags = draw(st.sampled_from(FUZZ_COMMANDS))
+    flag = draw(st.sampled_from(flags))
+    if flag in ("--out", "--outdir"):
+        value = "/dev/null/" + draw(st.text(alphabet="abc019_", min_size=1, max_size=8))
+    elif flag in ("--tolerance", "--grid-deg"):
+        value = draw(NOT_FINITE | st.floats(max_value=0.0).map(repr))
+    else:
+        value = draw(NOT_FINITE | st.integers(max_value=-1 if flag in ZERO_IS_VALID else 0).map(str))
+    return [*base, f"{flag}={value}"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(bad_command_lines())
+def test_fuzzed_bad_values_exit_2_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: ")
 
 
 def test_simulate_round_trips(capsys):

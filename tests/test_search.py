@@ -1,5 +1,7 @@
 """The d = 4 signal-state scan, its basis assembly, and the d = 3 certificate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ from kings.search import (
     certify_optimal_strategy,
     find_measurement_bases,
     find_signal_states,
-    off_lattice_deviation,
-    refine_signal_phases,
+    lattice_deviations,
     signal_candidate,
     single_overlap_deviation,
 )
@@ -69,20 +70,56 @@ def test_scan_requires_dim_4():
         find_signal_states(construct_mub(3))
 
 
-def test_refinement_stays_on_the_lattice(family4, signals):
-    for s in (signals[0], signals[13], signals[31]):
-        residual, angles = refine_signal_phases(family4, s)
-        assert residual < 1e-9
-        drift = np.abs(np.exp(1j * angles) - np.asarray(s.phases)).max()
-        assert drift < 1e-6
+# --- d = 4 off the 4th-root lattice --------------------------------------------
+
+D4_GRID_DEG = 11.25  # 32 steps per angle, so the 4th roots of unity are lattice nodes
+CATALOGUE_PHASES = {
+    (i - 1, j - 1, k - 1, l - 1): (b, c, d) for i, j, k, l, b, c, d in SIGNAL_CATALOG
+}
 
 
-def test_no_solutions_off_the_lattice(family4, signals):
-    # a solution tuple reaches ~0 even with free phases...
-    assert off_lattice_deviation(family4, signals[0].indices) < 1e-9
-    # ...while non-solution tuples stay far away no matter the phases
-    assert off_lattice_deviation(family4, (0, 0, 0, 1)) > 0.01
-    assert off_lattice_deviation(family4, (3, 0, 1, 2)) > 0.01
+@pytest.fixture(scope="module")
+def d4_lattice(family4):
+    return lattice_deviations(family4, grid_deg=D4_GRID_DEG)
+
+
+def test_d4_only_catalogue_tuples_reach_the_target(d4_lattice):
+    """The 32 catalogue tuples reach the target at their catalogue phases; the
+    other 224 have a positive floor, so no phases at all bring them there."""
+    assert [t.indices for t in d4_lattice] == list(itertools.product(range(4), repeat=4))
+    assert sum(t.indices in CATALOGUE_PHASES for t in d4_lattice) == 32
+    for t in d4_lattice:
+        if t.indices in CATALOGUE_PHASES:
+            assert t.deviation < 1e-12
+            phases = np.exp(1j * np.array(t.angles))
+            assert np.abs(phases - CATALOGUE_PHASES[t.indices]).max() < 1e-12
+        else:
+            assert t.floor > 1e-3
+
+
+def test_d4_floor_holds_off_the_lattice(family4, d4_lattice):
+    """The k = 3 slack is a bound: no continuous phase triple gets below the floor."""
+    others = [t for t in d4_lattice if t.indices not in CATALOGUE_PHASES]
+    lowest = min(others, key=lambda t: t.floor)
+    picks = [lowest] + [t for t in others if t.indices in ((0, 0, 0, 1), (3, 0, 1, 2))]
+    assert len(picks) == 3
+    h = np.radians(D4_GRID_DEG)
+    rng = np.random.default_rng(4)
+    for t in picks:
+        # the slack bounds the derivative along all three free angles (n^2 = 1/10)
+        comps = np.array([family4.state(m + 1, j) for m, j in enumerate(t.indices)])
+        a = np.abs(comps.conj() @ comps.T)
+        lipschitz = max(sum(a[m, j] * (a[m].sum() - a[m, j]) for j in (1, 2, 3)) for m in range(4))
+        assert t.slack == pytest.approx(h * lipschitz / 10, rel=1e-12)
+        angles = rng.uniform(0, 2 * np.pi, size=(10_000, 3))
+        dev = _deviations(family4, t.indices, angles)
+        assert dev.min() >= t.floor
+        # the slack covers the drop from the nearest lattice node to any point
+        nodes = h * np.round(angles / h)
+        assert (_deviations(family4, t.indices, nodes) - dev).max() <= t.slack
+        # the lattice minimum is attained at the reported angles
+        at_node = _deviations(family4, t.indices, np.array([t.angles]))[0]
+        assert at_node == pytest.approx(t.deviation, abs=1e-12)
 
 
 def test_bases_match_catalog(bases):
@@ -136,13 +173,14 @@ def test_d3_all_tuples_fail(d3_report):
     assert d3_report.floor == min(t.deviation - t.slack for t in d3_report.tuples)
 
 
-def _d3_deviations(family, indices, angles):
-    """Max overlap deviation from the target at each row of (theta_1, theta_2)."""
+def _deviations(family, indices, angles):
+    """Max overlap deviation from the target at each row of (theta_1, ..., theta_{d-1})."""
+    d = family.dim
     comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
     coeffs = np.concatenate([np.ones((len(angles), 1)), np.exp(1j * angles)], axis=1)
-    chi = coeffs @ comps / np.sqrt(3 + 2 * np.sqrt(3))
+    chi = coeffs @ comps / np.sqrt(d + (d - 1) * np.sqrt(d))
     overlaps = np.abs(chi @ comps.conj().T) ** 2
-    return np.abs(overlaps - overlap_target(3)).max(axis=1)
+    return np.abs(overlaps - overlap_target(d)).max(axis=1)
 
 
 @pytest.mark.parametrize("grid_deg", [0.5, 1.0])
@@ -155,13 +193,13 @@ def test_d3_floor_holds_off_the_grid(grid_deg):
     rng = np.random.default_rng(3)
     for t in report.tuples:
         angles = rng.uniform(0, 2 * np.pi, size=(10_000, 2))
-        dev = _d3_deviations(family, t.indices, angles)
+        dev = _deviations(family, t.indices, angles)
         assert dev.min() >= t.floor
         # the slack covers the drop from the nearest grid node to any point
         nodes = h * np.round(angles / h)
-        assert (_d3_deviations(family, t.indices, nodes) - dev).max() <= t.slack
+        assert (_deviations(family, t.indices, nodes) - dev).max() <= t.slack
         # the grid minimum is attained at the reported angles
-        at_grid = _d3_deviations(family, t.indices, np.array([t.angles]))[0]
+        at_grid = _deviations(family, t.indices, np.array([t.angles]))[0]
         assert at_grid == pytest.approx(t.deviation, abs=1e-12)
 
 
@@ -193,15 +231,15 @@ def _d3_full_grid(family, grid_deg):
     return tuples
 
 
-@pytest.mark.parametrize("grid_deg", [0.5, 1.0, 0.7, 3.0, 10.0])
+@pytest.mark.parametrize("grid_deg", [0.5, 1.0, 0.7, 3.0, 10.0, 45.0, 90.0, 400.0])
 def test_d3_pruned_grid_equals_full_grid(grid_deg):
-    """Coarse-to-fine pruning returns the full grid's minimum, bit for bit.
+    """Branch and bound returns the full grid's minimum, bit for bit.
 
-    At 0.7 degrees the step count (514) is not a multiple of the coarse
-    stride, so the wrap-around cells are exercised too, and grid ties must
-    go to the lowest flat index.  At 3 and 10 degrees some tuples have their
-    minimum outside the best coarse cell, so pruning without the Lipschitz
-    term would fail.
+    At 0.7 degrees the step count (514) is not a multiple of the tile side,
+    so the short last tiles are exercised too, and grid ties must go to the
+    lowest flat index.  Pruning without the Lipschitz term fails at every
+    grid here but 400 degrees.  At 90 degrees small boxes re-evaluate their
+    parents' centres, and each node must count once in `evaluated`.
     """
     family = construct_mub(3)
     report = certify_d3_impossible(family, grid_deg=grid_deg)
@@ -209,6 +247,15 @@ def test_d3_pruned_grid_equals_full_grid(grid_deg):
     assert got == _d3_full_grid(family, grid_deg)
     steps = int(round(360 / grid_deg))
     assert report.grid_nodes == 27 * steps**2
+    assert report.evaluated <= report.grid_nodes
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_lattice_counts_every_node_once_when_nothing_prunes(d):
+    """At 72 degrees (5 steps per angle, odd box sides) the slack is too wide
+    for any box to be dropped, so every node is evaluated, and counted once."""
+    for t in lattice_deviations(construct_mub(d), grid_deg=72.0):
+        assert t.evaluated == 5 ** (d - 1)
 
 
 def test_d3_certificate_evaluates_a_fraction_of_the_grid(d3_report):
