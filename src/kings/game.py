@@ -6,10 +6,12 @@ protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
 once to a GameTables record (outcome distributions plus a prediction table in
 index space), and one sampling loop serves every kind.  Trials are drawn in
 chunks of CHUNK from a single numpy PCG64 generator: per chunk the king's
-choices, then the king's uniforms, then the control uniforms, each turned
-into outcomes by an inverse-CDF compare.  Memory is O(CHUNK) whatever the
-trial count, a seed pins the result bit for bit, and a run of up to CHUNK
-trials consumes the stream exactly as one unchunked draw would.
+choices, then the king's uniforms, then the control uniforms.  Each uniform
+becomes an outcome by counting the CDF columns of its row below it, a flat
+boolean table gives every (choice, outcome, control outcome) its win, and one
+bincount of 2 * choice + win tallies rounds and wins.  Memory is O(CHUNK), a
+seed pins the result bit for bit, and a run of up to CHUNK trials consumes
+the stream exactly as one unchunked draw would.
 """
 
 from __future__ import annotations
@@ -166,11 +168,14 @@ def _lower(strategy: Strategy) -> GameTables:
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
-def _sample_rows(prob_rows: np.ndarray, row_index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample: one categorical draw per trial from its row."""
-    cdf = np.cumsum(prob_rows, axis=-1)[row_index]
-    idx = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[-1] - 1)
+def _draw(prob_rows: np.ndarray, row_index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample, one outcome per trial: how many of the first n - 1
+    CDF columns of its row lie below u.  A CDF is monotone, so this equals the
+    count over all n columns clipped at n - 1."""
+    index = np.zeros(len(u), dtype=np.intp)
+    for column in np.cumsum(prob_rows, axis=-1).T[:-1].copy():
+        index += u > column.take(row_index)
+    return index
 
 
 def run(config: GameConfig) -> GameResult:
@@ -179,26 +184,21 @@ def run(config: GameConfig) -> GameResult:
         raise ValueError(f"trials must be a positive integer, got {config.trials}")
     tables = _lower(config.strategy)
     n_choices, n_out = tables.first.shape
+    n_k = tables.control.shape[1]
+    # win[(c * n_out + o) * n_k + k]: control outcome k calls king outcome o for c
+    win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).ravel()
+    tally = np.zeros(2 * n_choices, dtype=np.int64)  # [2c]: lost, [2c + 1]: won
     rng = np.random.default_rng(config.seed)
-    played = np.zeros(n_choices, dtype=np.int64)
-    won = np.zeros(n_choices, dtype=np.int64)
     for start in range(0, config.trials, CHUNK):
         size = min(CHUNK, config.trials - start)
         choice = rng.integers(0, n_choices, size=size)
-        outcome = _sample_rows(tables.first, choice, rng.random(size))
-        k = _sample_rows(tables.control, choice * n_out + outcome, rng.random(size))
-        ok = tables.predict[k, choice] == outcome
-        played += np.bincount(choice, minlength=n_choices)
-        won += np.bincount(choice[ok], minlength=n_choices)
-    successes = int(won.sum())
+        row = _draw(tables.first, choice, rng.random(size)) + choice * n_out
+        choice *= 2
+        choice += win.take(_draw(tables.control, row, rng.random(size)) + row * n_k)
+        tally += np.bincount(choice, minlength=2 * n_choices)
+    successes = int(tally[1::2].sum())
     estimate = successes / config.trials
     stderr = float(np.sqrt(max(estimate * (1 - estimate), 1e-300) / config.trials))
-    return GameResult(
-        mode=tables.mode,
-        trials=config.trials,
-        successes=successes,
-        estimate=estimate,
-        stderr=stderr,
-        per_choice={c: (int(played[c]), int(won[c])) for c in range(n_choices)},
-        seed=config.seed,
-    )
+    per_choice = {c: (int(lost + won), int(won)) for c, (lost, won) in enumerate(tally.reshape(-1, 2))}
+    return GameResult(mode=tables.mode, trials=config.trials, successes=successes, estimate=estimate,
+                      stderr=stderr, per_choice=per_choice, seed=config.seed)

@@ -1,5 +1,6 @@
 """Monte Carlo referee: determinism, statistical agreement with exact values,
-pinned seeded counts, and chunked sampling with bounded memory."""
+pinned seeded counts, equality with the reference sampler, and chunked
+sampling with bounded memory."""
 
 import tracemalloc
 
@@ -13,15 +14,18 @@ from kings.game import (
     CubeVaaStrategy,
     GameConfig,
     GameResult,
+    _draw,
+    _lower,
     run,
 )
+from kings.mub import construct_mub
 from kings.presets import (
     cube_conventional_strategy,
     cube_vaa_strategy,
     d2_optimal_strategy,
     d4_optimal_strategy,
 )
-from kings.strategy import success_exact
+from kings.strategy import random_strategy, success_exact
 from kings.verify import ACCEPTANCE_SEED
 
 
@@ -74,6 +78,74 @@ def test_multi_chunk_run_is_deterministic_and_consistent():
     assert sum(w for _, w in result.per_choice.values()) == result.successes
     exact = success_exact(d2_optimal_strategy()).total
     assert abs(result.estimate - exact) <= 4 * result.stderr
+    # the counts of the gather, compare and sum sampler, across four chunks
+    assert result.successes == 2838787
+    assert result.per_choice == {0: (1048511, 1048511), 1: (1048113, 894248),
+                                 2: (1049105, 896028)}
+
+
+def _sample_rows(prob_rows: np.ndarray, row_index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample: one categorical draw per trial from its row."""
+    cdf = np.cumsum(prob_rows, axis=-1)[row_index]
+    idx = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(idx, prob_rows.shape[-1] - 1)
+
+
+def _reference_run(config: GameConfig) -> GameResult:
+    """Reference: the gather, compare and sum sampler run() replaced."""
+    tables = _lower(config.strategy)
+    n_choices, n_out = tables.first.shape
+    rng = np.random.default_rng(config.seed)
+    played = np.zeros(n_choices, dtype=np.int64)
+    won = np.zeros(n_choices, dtype=np.int64)
+    for start in range(0, config.trials, CHUNK):
+        size = min(CHUNK, config.trials - start)
+        choice = rng.integers(0, n_choices, size=size)
+        outcome = _sample_rows(tables.first, choice, rng.random(size))
+        k = _sample_rows(tables.control, choice * n_out + outcome, rng.random(size))
+        ok = tables.predict[k, choice] == outcome
+        played += np.bincount(choice, minlength=n_choices)
+        won += np.bincount(choice[ok], minlength=n_choices)
+    successes = int(won.sum())
+    estimate = successes / config.trials
+    stderr = float(np.sqrt(max(estimate * (1 - estimate), 1e-300) / config.trials))
+    return GameResult(
+        mode=tables.mode,
+        trials=config.trials,
+        successes=successes,
+        estimate=estimate,
+        stderr=stderr,
+        per_choice={c: (int(played[c]), int(won[c])) for c in range(n_choices)},
+        seed=config.seed,
+    )
+
+
+def test_draw_equals_reference_on_ties_and_past_the_last_cdf_value():
+    """Uniforms equal to a CDF value are not above it, and one above a row
+    total short of 1 still lands on the last outcome."""
+    probs = np.array([[0.5, 0.25, 0.25 - 1e-9], [1 / 3, 1 / 3, 1 / 3]])
+    cdf = np.cumsum(probs, axis=-1)
+    u = np.concatenate([cdf.ravel(), [0.0, 1 - 5e-10, 0.5]])
+    row = np.array([0, 0, 0, 1, 1, 1, 0, 0, 1])
+    assert _draw(probs, row, u).tolist() == _sample_rows(probs, row, u).tolist()
+    assert _draw(probs, row, u).tolist() == [0, 1, 2, 0, 1, 2, 0, 2, 1]
+
+
+@pytest.mark.parametrize("trials", [1, 7, 2_000, CHUNK + 1])
+@pytest.mark.parametrize("name, strategy, exact, n_choices", _cases())
+def test_presets_equal_reference_sampler(name, strategy, exact, n_choices, trials):
+    config = GameConfig(strategy=strategy, trials=trials, seed=ACCEPTANCE_SEED)
+    assert run(config) == _reference_run(config)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_random_strategies_equal_reference_sampler(d):
+    family = construct_mub(d)
+    rng = np.random.default_rng(100 + d)
+    for trials in (1, 7, 500, 2_000):
+        strategy = random_strategy(family, int(rng.integers(d + 1)), rng)
+        config = GameConfig(strategy=strategy, trials=trials, seed=int(rng.integers(2**63)))
+        assert run(config) == _reference_run(config)
 
 
 def _traced_peak(strategy, trials: int) -> int:
@@ -83,6 +155,11 @@ def _traced_peak(strategy, trials: int) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, strategy, exact, n_choices", _cases())
+def test_memory_per_trial_of_one_chunk(name, strategy, exact, n_choices):
+    assert _traced_peak(strategy, CHUNK) <= 48 * CHUNK
 
 
 def test_memory_stays_flat_beyond_one_chunk():
