@@ -176,9 +176,11 @@ def _load_control(source: str, d: int):
         raise UsageError(f"no builtin control basis for d={d}; pass a JSON file")
     if not os.path.exists(source):
         raise UsageError(f"control file not found: {source}")
-    with open(source) as fh:
-        obj = json.load(fh)
     try:
+        with open(source) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise TypeError("the top level is not a JSON object")
         return basis_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed control basis file {source}: {exc}") from exc

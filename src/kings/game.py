@@ -118,9 +118,7 @@ def _lower_mub(s: ConventionalStrategy) -> GameTables:
     family, d = s.family, s.family.dim
     first = np.abs(np.einsum("ijm,m->ij", family.array.conj(), s.preparation)) ** 2
     control = overlap_matrix(family, s.control).reshape(-1, d)
-    predict = np.full((d, d + 1), -1, dtype=int)
-    for (k, i), j in s.assignment.prediction.items():
-        predict[k, i] = j
+    predict = s.assignment.prediction
     predict[:, s.prep_basis] = s.prep_index
     return GameTables(f"mub-d{d}", _check_probs(first), _check_probs(control), predict)
 

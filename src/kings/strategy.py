@@ -3,15 +3,16 @@
 A conventional strategy prepares one eigenstate of a designated basis, guesses
 that basis outright, and covers every other basis with a single orthogonal
 control measurement.  The control outcomes and basis states are tied together
-by an AssignmentMap; the strategy is "well conditioned" when the map restricts
-to a bijection on every covered basis, so each control outcome commits to
-exactly one prediction per basis.
+by an AssignmentMap, one (d + 1, d) int array whose row i lists the control
+outcome signalling each state of basis i, and whose rows of -1 mark the bases
+it does not cover.  The strategy is "well conditioned" when every covered row
+is a permutation, so each control outcome commits to exactly one prediction
+per basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,44 +32,41 @@ def overlap_matrix(family: MubFamily, control: OrthonormalBasis) -> np.ndarray:
 class AssignmentMap:
     """Pairing between control outcomes k and basis states j of covered bases.
 
-    forward[(i, j)] = k  : state j of basis i is signalled by outcome k.
-    prediction[(k, i)] = j : outcome k predicts state j if basis i was measured.
-    prediction is populated per basis only where forward is bijective there.
+    forward[i, j] = k: state j of basis i is signalled by outcome k.  forward
+    has one row per basis of the family and one column per state; a row of -1
+    is a basis the map does not cover.  prediction[k, i] = j inverts forward
+    on the rows that are bijections and is -1 elsewhere.
     """
 
-    dim: int
-    excluded: frozenset[int]
-    forward: dict[tuple[int, int], int]
-    prediction: dict[tuple[int, int], int] = field(default_factory=dict)
+    forward: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.prediction:
-            self.prediction = _invert_where_bijective(self.dim, self.forward)
-
-    @cached_property
+    @property
     def covered(self) -> tuple[int, ...]:
-        return tuple(sorted({i for i, _ in self.forward}))
+        return tuple((self.forward.min(axis=1) >= 0).nonzero()[0].tolist())
 
-    def outcomes(self, basis: int) -> list[int]:
-        return [self.forward[(basis, j)] for j in range(self.dim)]
+    @property
+    def bijective(self) -> np.ndarray:
+        """bijective[i]: row i is a permutation of the control outcomes."""
+        return (np.sort(self.forward, axis=1) == np.arange(self.forward.shape[1])).all(axis=1)
+
+    @property
+    def prediction(self) -> np.ndarray:
+        prediction = np.full(self.forward.shape[::-1], -1)
+        rows = self.bijective.nonzero()[0]
+        prediction[self.forward[rows], rows[:, None]] = np.arange(self.forward.shape[1])
+        return prediction
+
+    def _broken(self) -> np.ndarray:
+        """The covered bases on which the map is not a bijection."""
+        return ((self.forward.min(axis=1) >= 0) & ~self.bijective).nonzero()[0]
 
     def is_well_conditioned(self) -> bool:
-        return all(len(set(self.outcomes(i))) == self.dim for i in self.covered)
+        return self._broken().size == 0
 
     def require_well_conditioned(self) -> None:
-        for i in self.covered:
-            if len(set(self.outcomes(i))) != self.dim:
-                raise ValueError(f"assignment is not a bijection on basis {i}")
-
-
-def _invert_where_bijective(dim: int, forward: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    prediction: dict[tuple[int, int], int] = {}
-    for i in sorted({i for i, _ in forward}):
-        ks = [forward[(i, j)] for j in range(dim)]
-        if len(set(ks)) == dim:
-            for j, k in enumerate(ks):
-                prediction[(k, i)] = j
-    return prediction
+        broken = self._broken()
+        if broken.size:
+            raise ValueError(f"assignment is not a bijection on basis {broken[0]}")
 
 
 def assign_greedy(family: MubFamily, prep_basis: int, control: OrthonormalBasis) -> AssignmentMap:
@@ -77,14 +75,11 @@ def assign_greedy(family: MubFamily, prep_basis: int, control: OrthonormalBasis)
     Ties break toward the lowest outcome index.  The result need not be
     bijective; feed it to repair_well_conditioned.
     """
-    o = overlap_matrix(family, control)
-    forward: dict[tuple[int, int], int] = {}
-    for i in family.labels:
-        if i == prep_basis:
-            continue
-        for j in range(family.dim):
-            forward[(i, j)] = int(np.argmax(o[i, j]))
-    return AssignmentMap(dim=family.dim, excluded=frozenset({prep_basis}), forward=forward)
+    forward = overlap_matrix(family, control).argmax(axis=2)
+    # a mask, not forward[prep_basis]: an out-of-range basis must reach the
+    # strategy's own check instead of raising here or wrapping around
+    forward[np.arange(len(forward)) == prep_basis] = -1
+    return AssignmentMap(forward)
 
 
 def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> AssignmentMap:
@@ -95,17 +90,12 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     algorithm finds the bijection maximizing the summed overlap, for every d.
     `overlaps` is the (d+1, d, d) tensor from overlap_matrix.
     """
-    d = raw.dim
-    forward: dict[tuple[int, int], int] = {}
-    for i in raw.covered:
-        ks = raw.outcomes(i)
-        if len(set(ks)) != d:
-            from scipy.optimize import linear_sum_assignment  # scipy loads only for a repair
-            rows, cols = linear_sum_assignment(overlaps[i], maximize=True)  # [j, k]
-            ks = cols[np.argsort(rows)]
-        for j in range(d):
-            forward[(i, j)] = int(ks[j])
-    return AssignmentMap(dim=d, excluded=raw.excluded, forward=forward)
+    forward = raw.forward.copy()
+    for i in raw._broken():
+        from scipy.optimize import linear_sum_assignment  # scipy loads only for a repair
+        rows, cols = linear_sum_assignment(overlaps[i], maximize=True)  # [j, k]
+        forward[i, rows] = cols
+    return AssignmentMap(forward)
 
 
 @dataclass
@@ -197,14 +187,13 @@ def success_exact(strategy: ConventionalStrategy) -> SuccessBreakdown:
     """
     family = strategy.family
     d = family.dim
-    o = overlap_matrix(family, strategy.control)
-    per_basis: dict[int, float] = {strategy.prep_basis: 1.0}
-    per_signal: dict[int, float] = {k: 0.0 for k in range(d)}
-    for i in strategy.assignment.covered:
-        fs = [o[i, j, strategy.assignment.forward[(i, j)]] for j in range(d)]
-        per_basis[i] = float(np.mean(fs))
-        for j, f in enumerate(fs):
-            per_signal[strategy.assignment.forward[(i, j)]] += float(f)
+    covered = np.array(strategy.assignment.covered)
+    forward = strategy.assignment.forward[covered]
+    # f[r, j]: the overlap of state j of basis covered[r] with its assigned outcome
+    f = overlap_matrix(family, strategy.control)[covered[:, None], np.arange(d), forward]
+    per_basis = {strategy.prep_basis: 1.0, **dict(zip(covered.tolist(), f.mean(axis=1).tolist()))}
+    # bincount adds the weights in row-major order, as a loop over (i, j) would
+    per_signal = dict(enumerate(np.bincount(forward.ravel(), f.ravel(), minlength=d).tolist()))
     total = sum(per_basis[i] for i in family.labels) / (d + 1)
     return SuccessBreakdown(total=total, per_basis=per_basis, per_signal=per_signal)
 
@@ -238,7 +227,7 @@ def success_exact_general(
     for i in guess_bases:
         total += p[i, guesses[i]]
     for i in covered:
-        total += sum(p[i, j] * o[i, j, assignment.forward[(i, j)]] for j in range(d))
+        total += sum(p[i] * o[i, np.arange(d), assignment.forward[i]])
     return float(total / (d + 1))
 
 
@@ -290,15 +279,16 @@ def complement_strategy(
     prep = strategy.prep_basis
     d = strategy.family.dim
     guess_bases = frozenset(set(strategy.family.labels) - {prep})
-    guesses = {i: strategy.assignment.prediction[(control_state_index, i)] for i in guess_bases}
-    identity = {(prep, j): j for j in range(d)}
-    assignment = AssignmentMap(dim=d, excluded=guess_bases, forward=identity)
+    prediction = strategy.assignment.prediction
+    guesses = {i: int(prediction[control_state_index, i]) for i in guess_bases}
+    identity = np.full_like(strategy.assignment.forward, -1)
+    identity[prep] = np.arange(d)
     return GeneralStrategy(
         family=strategy.family,
         preparation=strategy.control.states[control_state_index],
         guess_bases=guess_bases,
         guesses=guesses,
         control=strategy.family.bases[prep],
-        assignment=assignment,
+        assignment=AssignmentMap(identity),
         source=strategy,
     )

@@ -133,9 +133,12 @@ def test_eval_missing_control_file(capsys):
 
 def test_eval_malformed_control_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"states": "oops"}')
-    code, _, err = run_cli(capsys, "eval", "--d", "2", "--control", str(bad))
-    assert code == 2
+    for content in ('{"states": "oops"}', "{not json", "[1, 2]"):
+        bad.write_text(content)
+        code, _, err = run_cli(capsys, "eval", "--d", "2", "--control", str(bad))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, content
+        assert str(bad) in err
 
 
 def test_search_d4_writes_tables(capsys, tmp_path):

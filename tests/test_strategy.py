@@ -12,6 +12,7 @@ from kings.mub import OrthonormalBasis, construct_mub
 from kings.strategy import (
     AssignmentMap,
     GeneralStrategy,
+    SuccessBreakdown,
     assign_greedy,
     build_strategy,
     complement_strategy,
@@ -23,6 +24,7 @@ from kings.strategy import (
     success_exact_general,
 )
 from kings.presets import d2_optimal_strategy, d4_optimal_strategy
+from kings.search import find_measurement_bases, find_signal_states
 
 
 def test_overlap_matrix_shape_and_rows():
@@ -84,16 +86,106 @@ def test_repair_hungarian_agrees_with_brute_force(d, repeats):
 
 
 def test_assignment_map_inversion():
-    fwd = {(1, 0): 2, (1, 1): 0, (1, 2): 1, (2, 0): 0, (2, 1): 0, (2, 2): 1}
-    amap = AssignmentMap(dim=3, excluded=frozenset({0}), forward=fwd)
+    fwd = np.full((4, 3), -1)
+    fwd[1] = [2, 0, 1]
+    fwd[2] = [0, 0, 1]
+    amap = AssignmentMap(fwd)
     # basis 1 is bijective and inverted; basis 2 is not and stays out
-    assert amap.prediction[(2, 1)] == 0
-    assert amap.prediction[(0, 1)] == 1
-    assert amap.prediction[(1, 1)] == 2
-    assert not any(i == 2 for _, i in amap.prediction)
+    assert amap.prediction[2, 1] == 0
+    assert amap.prediction[0, 1] == 1
+    assert amap.prediction[1, 1] == 2
+    assert (amap.prediction[:, 2] == -1).all()
     assert not amap.is_well_conditioned()
     with pytest.raises(ValueError):
         amap.require_well_conditioned()
+
+
+# The dict-based assignment layer that the (d + 1, d) array replaced, kept
+# verbatim as the oracle: maps, predictions and breakdowns must stay equal.
+
+def _reference_greedy(family, prep_basis, control):
+    o = overlap_matrix(family, control)
+    forward = {}
+    for i in family.labels:
+        if i == prep_basis:
+            continue
+        for j in range(family.dim):
+            forward[(i, j)] = int(np.argmax(o[i, j]))
+    return forward
+
+
+def _reference_invert_where_bijective(dim, forward):
+    prediction = {}
+    for i in sorted({i for i, _ in forward}):
+        ks = [forward[(i, j)] for j in range(dim)]
+        if len(set(ks)) == dim:
+            for j, k in enumerate(ks):
+                prediction[(k, i)] = j
+    return prediction
+
+
+def _reference_repair(d, raw, overlaps):
+    forward = {}
+    for i in sorted({i for i, _ in raw}):
+        ks = [raw[(i, j)] for j in range(d)]
+        if len(set(ks)) != d:
+            from scipy.optimize import linear_sum_assignment
+            rows, cols = linear_sum_assignment(overlaps[i], maximize=True)  # [j, k]
+            ks = cols[np.argsort(rows)]
+        for j in range(d):
+            forward[(i, j)] = int(ks[j])
+    return forward
+
+
+def _reference_success(family, prep_basis, control, forward):
+    d = family.dim
+    o = overlap_matrix(family, control)
+    per_basis = {prep_basis: 1.0}
+    per_signal = {k: 0.0 for k in range(d)}
+    for i in sorted({i for i, _ in forward}):
+        fs = [o[i, j, forward[(i, j)]] for j in range(d)]
+        per_basis[i] = float(np.mean(fs))
+        for j, f in enumerate(fs):
+            per_signal[forward[(i, j)]] += float(f)
+    total = sum(per_basis[i] for i in family.labels) / (d + 1)
+    return SuccessBreakdown(total=total, per_basis=per_basis, per_signal=per_signal)
+
+
+def _entries(table):
+    """The entries of an assignment array that are not -1, as a dict."""
+    return {index: int(v) for index, v in np.ndenumerate(table) if v != -1}
+
+
+def _oracle_cases():
+    for d, draws in [(2, 12), (3, 12), (4, 12), (5, 6), (7, 3), (11, 2)]:
+        rng = np.random.default_rng(20260900 + d)
+        for _ in range(draws):
+            yield construct_mub(d), random_control_basis(d, rng)
+    family = construct_mub(4)
+    for basis in find_measurement_bases(find_signal_states(family)):
+        yield family, basis.basis
+
+
+def test_array_assignment_equals_reference_dicts():
+    checked = 0
+    for family, control in _oracle_cases():
+        d = family.dim
+        o = overlap_matrix(family, control)
+        # -1 and d + 1 are out of range: nothing may be excluded for them
+        for prep in [*family.labels, -1, d + 1]:
+            raw, ref_raw = assign_greedy(family, prep, control), _reference_greedy(family, prep, control)
+            assert raw.forward.shape == (d + 1, d)
+            assert _entries(raw.forward) == ref_raw
+            assert _entries(raw.prediction) == _reference_invert_where_bijective(d, ref_raw)
+            repaired, ref_repaired = repair_well_conditioned(raw, o), _reference_repair(d, ref_raw, o)
+            assert _entries(repaired.forward) == ref_repaired
+            assert _entries(repaired.prediction) == _reference_invert_where_bijective(d, ref_repaired)
+            if prep in family.labels:
+                assert (raw.forward[prep] == -1).all() and (raw.prediction[:, prep] == -1).all()
+                strategy = build_strategy(family, prep, prep % d, control)
+                assert success_exact(strategy) == _reference_success(family, prep, control, ref_repaired)
+                checked += 1
+    assert checked == 12 * 3 + 12 * 4 + 12 * 5 + 6 * 6 + 3 * 8 + 2 * 12 + 32 * 5  # draws x labels
 
 
 def test_strategy_rejects_non_orthonormal_control():
