@@ -35,7 +35,8 @@ class AssignmentMap:
     forward[i, j] = k: state j of basis i is signalled by outcome k.  forward
     has one row per basis of the family and one column per state; a row of -1
     is a basis the map does not cover.  prediction[k, i] = j inverts forward
-    on the rows that are bijections and is -1 elsewhere.
+    on the rows that are bijections and is -1 elsewhere; each access builds a
+    new array.
     """
 
     forward: np.ndarray
