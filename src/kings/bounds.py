@@ -11,8 +11,8 @@ each covered basis.  guess_bound / control_bound split the same accounting
 between r guessed bases and s = d + 1 - r control-covered ones; the split is
 rank-independent for 1 <= r <= d and strictly worse at r in {0, d+1}.
 
-relaxed_f_max numerically maximizes the per-signal overlap sum F and is the
-tool used to measure how close a given family lets a single state get to the
+relaxed_f_max computes the exact maximum of the per-signal overlap sum F over
+unit vectors: how close a given family lets a single state get to the
 d * overlap_target(d) ceiling.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import MubFamily
+from .mub import MubFamily, selection_grams
 
 
 def _check_dim(d: int) -> None:
@@ -95,51 +95,36 @@ def bound_report(d: int, r: int | None = None) -> BoundReport:
 
 @dataclass
 class RelaxedMaximum:
-    """Best overlap sum found by relaxed_f_max."""
+    """F_max, a unit vector attaining it, and its selection (a state index per covered basis)."""
 
     value: float
     maximizer: np.ndarray
-    restarts: int
+    selection: tuple[int, ...]
 
 
 def relaxed_f_max(
     family: MubFamily,
     excluded: int = 0,
     *,
-    restarts: int = 64,
-    seed: int = 0,
+    restarts: int | None = None,
+    seed: int | None = None,
 ) -> RelaxedMaximum:
-    """Numerically maximize F(chi) = sum over bases != excluded of the best
+    """Exact maximum of F(chi) = sum over bases != excluded of the best
     squared overlap of a unit vector chi with that basis.
 
-    Multistart block-coordinate ascent: fix the per-basis best states, jump to
-    the top eigenvector of the sum of their projectors, repeat until the value
-    stops improving.  Each step is monotone, so every restart converges; the
-    best over `restarts` seeded starts is returned.  F never exceeds
-    d * overlap_target(d) for an unbiased family.
+    Swapping the maximizations over chi and over the state picked in each
+    covered basis makes F_max the largest top eigenvalue of the picks' Gram
+    matrix; one batched eigvalsh covers all d^d selections, ties going to the
+    first.  F_max never exceeds d * overlap_target(d) for an unbiased family.
+    Raises ValueError if `excluded` is no basis label or d^d > 5^5 (d >= 7).
+    `restarts` and `seed` are ignored.
     """
-    arr = np.stack([family.bases[i].states for i in family.labels if i != excluded])
     d = family.dim
-    best_val = -np.inf
-    best_vec: np.ndarray | None = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        chi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        chi /= np.linalg.norm(chi)
-        prev = -np.inf
-        for _ in range(500):
-            overlaps = np.abs(np.einsum("ijm,m->ij", arr.conj(), chi)) ** 2
-            selected = overlaps.argmax(axis=1)
-            picked = arr[np.arange(arr.shape[0]), selected]
-            accum = picked.T @ picked.conj()  # sum of projectors onto the picks
-            evals, evecs = np.linalg.eigh(accum)
-            chi = evecs[:, -1]
-            if evals[-1] - prev < 1e-12:
-                break
-            prev = evals[-1]
-        value = float((np.abs(np.einsum("ijm,m->ij", arr.conj(), chi)) ** 2).max(axis=1).sum())
-        if value > best_val:
-            best_val = value
-            best_vec = chi
-    assert best_vec is not None
-    return RelaxedMaximum(value=best_val, maximizer=best_vec, restarts=restarts)
+    if d ** d > 5 ** 5:
+        raise ValueError(f"dim {d} has {d ** d} selections, more than the 3125 enumerated")
+    tuples, grams = selection_grams(family, excluded)
+    tops = np.linalg.eigvalsh(grams)[:, -1]
+    best = int(tops.argmax())
+    picked = np.delete(family.array, excluded, axis=0)[np.arange(d), tuples[best]]
+    chi = np.linalg.eigh(picked.T @ picked.conj())[1][:, -1]
+    return RelaxedMaximum(value=float(tops[best]), maximizer=chi, selection=tuples[best])

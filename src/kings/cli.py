@@ -208,9 +208,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
     manifest = make_manifest("search", {"d": args.d, "emit": args.emit,
-                                        "outdir": args.outdir}, seed, args.tolerance)
+                                        "outdir": args.outdir}, args.seed, args.tolerance)
     if args.d == 4:
         emit = args.emit or "table3,table4"
         nums = []
@@ -227,7 +226,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         os.makedirs(args.outdir, exist_ok=True)
         family = construct_mub(3)
         report = certify_d3_impossible(family)
-        relaxed = relaxed_f_max(family, excluded=0, restarts=64, seed=seed)
+        relaxed = relaxed_f_max(family, excluded=0)
         ceiling = 3 * overlap_target(3)
         obj = {
             "dim": 3,

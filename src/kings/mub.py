@@ -3,11 +3,13 @@
 construct_mub builds the d+1 bases for prime d (Z/X/Y eigenbases for d = 2,
 a root-of-unity formula for odd primes) and a hand-entered two-qubit family
 for d = 4.  certify_family re-checks orthonormality and unbiasedness from
-scratch and reports the worst deviation it finds.
+scratch and reports the worst deviation it finds.  selection_grams gives the
+Gram matrix of every pick of one state from each basis but one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +77,21 @@ class MubFamily:
     @property
     def labels(self) -> range:
         return range(self.dim + 1)
+
+
+def selection_grams(family: MubFamily, excluded: int = 0) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Gram matrices of every selection of one state per basis other than `excluded`.
+
+    Selection t = (j_0, ..., j_{d-1}) picks state j_m of the m-th covered
+    basis; the d^d tuples of Python ints come in lexicographic order, and
+    grams[t, m, k] = <pick m | pick k>.
+    """
+    if excluded not in family.labels:
+        raise ValueError(f"excluded must be a basis label 0..{family.dim}, got {excluded!r}")
+    d = family.dim
+    tuples = list(itertools.product(range(d), repeat=d))
+    comps = np.delete(family.array, excluded, axis=0)[np.arange(d), np.array(tuples)]  # (tuple, m, component)
+    return tuples, comps.conj() @ comps.transpose(0, 2, 1)
 
 
 @dataclass

@@ -87,10 +87,11 @@ VAA_OVERLAP_REFERENCE: list[list[float]] = [
     [0.0669, 0.311, 0.311, 0.311],
 ]
 
-# Regression constants measured once and frozen (grid + polish, seeds fixed).
-# Worst-case (smallest over the 27 index tuples) achievable max overlap
-# deviation in the d = 3 no-go sweep:
+# Regression constants measured once and frozen.  Worst-case (smallest over the
+# 27 index tuples) max overlap deviation in the d = 3 no-go sweep, the exact
+# minimum on the 0.5 degree phase lattice found by search.lattice_deviations:
 D3_WORST_MIN_DEVIATION = 0.011647389770
 # Best overlap sum a single d = 3 vector can collect across the three
-# non-computational bases, strictly below 3 * overlap_target(3):
+# non-computational bases, strictly below 3 * overlap_target(3); exact, the
+# largest top Gram eigenvalue over the 27 selections (bounds.relaxed_f_max):
 D3_RELAXED_MAX = 2.1371580426

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import overlap_target
-from .mub import MubFamily, OrthonormalBasis
+from .mub import MubFamily, OrthonormalBasis, selection_grams
 from .strategy import ConventionalStrategy, SuccessBreakdown, build_strategy, success_exact
 
 FOURTH_ROOTS: tuple[complex, ...] = (1, 1j, -1, -1j)
@@ -78,11 +78,9 @@ def find_signal_states(family: MubFamily, *, tol: float = 1e-9) -> list[SignalSt
     d = family.dim
     if d != 4:
         raise ValueError(f"the scan is specific to dim 4, got {d}")
-    index_tuples = list(itertools.product(range(4), repeat=4))
+    index_tuples, gram = selection_grams(family)
     phase_triples = list(itertools.product(FOURTH_ROOTS, repeat=3))
     coeffs = np.array([(1, *phases) for phases in phase_triples])
-    comps = family.array[1:][np.arange(4), np.array(index_tuples)]  # (tuple, m, component)
-    gram = np.einsum("tmx,tkx->tmk", comps.conj(), comps)
     amps = _norm_constant(4) * np.einsum("tmk,pk->tpm", gram, coeffs)
     dev = np.abs(np.abs(amps) ** 2 - overlap_target(d)).max(axis=-1)
     found: list[SignalState] = []
@@ -221,9 +219,7 @@ def lattice_deviations(family: MubFamily, *, grid_deg: float) -> list[TupleDevia
     steps = _lattice_steps(grid_deg)
     ang = 2 * np.pi * np.arange(steps) / steps
     phases = np.exp(1j * ang)
-    index_tuples = list(itertools.product(range(d), repeat=d))
-    comps = family.array[1:][np.arange(d), np.array(index_tuples)]  # (tuple, m, component)
-    grams = comps.conj() @ comps.transpose(0, 2, 1)
+    index_tuples, grams = selection_grams(family)
     a = np.abs(grams)
     grad = (a * (a.sum(axis=2, keepdims=True) - a))[:, :, 1:].sum(axis=2)
     slack = 2 * np.pi / steps * n2 * grad.max(axis=1)

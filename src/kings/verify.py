@@ -177,7 +177,7 @@ def criterion_d3_impossibility() -> CriterionResult:
     t0 = time.perf_counter()
     family = construct_mub(3)
     report = certify_d3_impossible(family, delta=1e-3)
-    relaxed = relaxed_f_max(family, excluded=0, restarts=64, seed=0)
+    relaxed = relaxed_f_max(family, excluded=0)
     elapsed = time.perf_counter() - t0
     ceiling = 3 * overlap_target(3)
     gap = ceiling - relaxed.value

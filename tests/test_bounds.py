@@ -137,3 +137,68 @@ def test_relaxed_max_deterministic_per_seed():
     b = relaxed_f_max(family, excluded=0, restarts=8, seed=11)
     assert a.value == b.value
     assert np.array_equal(a.maximizer, b.maximizer)
+
+
+def _multistart_f_max(family, excluded=0, *, restarts=64, seed=0):
+    """The earlier heuristic relaxed_f_max, kept verbatim as a reference: multistart
+    block-coordinate ascent over the per-basis best states."""
+    arr = np.stack([family.bases[i].states for i in family.labels if i != excluded])
+    d = family.dim
+    best_val = -np.inf
+    best_vec = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        chi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        chi /= np.linalg.norm(chi)
+        prev = -np.inf
+        for _ in range(500):
+            overlaps = np.abs(np.einsum("ijm,m->ij", arr.conj(), chi)) ** 2
+            selected = overlaps.argmax(axis=1)
+            picked = arr[np.arange(arr.shape[0]), selected]
+            accum = picked.T @ picked.conj()  # sum of projectors onto the picks
+            evals, evecs = np.linalg.eigh(accum)
+            chi = evecs[:, -1]
+            if evals[-1] - prev < 1e-12:
+                break
+            prev = evals[-1]
+        value = float((np.abs(np.einsum("ijm,m->ij", arr.conj(), chi)) ** 2).max(axis=1).sum())
+        if value > best_val:
+            best_val = value
+            best_vec = chi
+    return best_val, best_vec
+
+
+def _overlap_sum(covered, chis):
+    """F for each column of `chis`: the best squared overlap per covered basis, summed."""
+    return (np.abs(covered.conj() @ chis) ** 2).max(axis=1).sum(axis=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_relaxed_max_is_a_certificate(d):
+    family = construct_mub(d)
+    rng = np.random.default_rng(1000 + d)
+    chis = rng.normal(size=(d, 10_000)) + 1j * rng.normal(size=(d, 10_000))
+    chis /= np.linalg.norm(chis, axis=0)
+    for excluded in family.labels:
+        result = relaxed_f_max(family, excluded)
+        covered = np.delete(family.array, excluded, axis=0)
+        assert len(result.selection) == d and all(type(j) is int for j in result.selection)
+        # attained: the maximizer collects exactly the claimed value
+        assert abs(np.linalg.norm(result.maximizer) - 1) < 1e-12
+        assert abs(_overlap_sum(covered, result.maximizer[:, None])[0] - result.value) <= 1e-12
+        # never beaten, neither by random unit vectors nor by the multistart ascent
+        assert _overlap_sum(covered, chis).max() <= result.value + 1e-12, excluded
+        assert _multistart_f_max(family, excluded)[0] <= result.value + 1e-12, excluded
+        assert result.value <= d * overlap_target(d) + 1e-12
+
+
+@pytest.mark.parametrize("excluded", [-1, 4, 7])
+def test_relaxed_max_rejects_unknown_excluded_basis(excluded):
+    # -1 or 7 used to drop no basis and sum all four, giving 2.618 > 3 * overlap_target(3)
+    with pytest.raises(ValueError, match="excluded"):
+        relaxed_f_max(construct_mub(3), excluded)
+
+
+def test_relaxed_max_refuses_d7():
+    with pytest.raises(ValueError, match="823543 selections"):
+        relaxed_f_max(construct_mub(7))

@@ -161,6 +161,14 @@ def test_search_d4_single_table(capsys, tmp_path):
     assert not (tmp_path / "table4.csv").exists()
 
 
+@pytest.mark.parametrize("seed_args, recorded", [((), None), (("--seed", "3"), 3)])
+def test_search_manifest_records_seed_as_given(capsys, tmp_path, seed_args, recorded):
+    code, _, _ = run_cli(capsys, "search", "--d", "4", "--outdir", str(tmp_path),
+                         "--emit", "table3", *seed_args)
+    assert code == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == recorded
+
+
 def test_search_d3_impossibility_report(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "search", "--d", "3", "--outdir", str(tmp_path))
     assert code == 0

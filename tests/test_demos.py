@@ -1,0 +1,23 @@
+"""Every demo script runs cleanly from a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_six_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

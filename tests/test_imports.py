@@ -20,7 +20,7 @@ strategy.success_exact(strat)
 strategy.complement_strategy(strat).success()
 family3 = mub.construct_mub(3)
 assert search.certify_d3_impossible(family3).passed
-bounds.relaxed_f_max(family3, restarts=4, seed=0)
+bounds.relaxed_f_max(family3)
 setup = cube.make_cube_setup()
 cube.vaa_success_exact(setup)
 cube.conventional_cube_optimize(setup, grid_deg=1.0)
