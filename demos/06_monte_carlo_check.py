@@ -1,9 +1,9 @@
 """Monte Carlo cross-check of every exact success value.
 
-Simulates all four game modes with the seeded referee, which plays the
-rounds as whole arrays, 2**20 rounds per chunk, and compares the estimates
-against the closed-form values.  Pass a trial count to tighten the error
-bars: `python3 demos/06_monte_carlo_check.py 1000000`.
+Simulates all four game modes with the seeded referee, which draws 2**20
+rounds per chunk and samples them in place, in cache-sized blocks of 2**14,
+and compares the estimates against the closed-form values.  Pass a trial
+count to tighten the error bars: `python3 demos/06_monte_carlo_check.py 1000000`.
 """
 
 from __future__ import annotations

@@ -6,16 +6,17 @@ protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
 once to a GameTables record (outcome distributions plus a prediction table in
 index space), and one sampling loop serves every kind.  Trials are drawn in
 chunks of CHUNK from a single numpy PCG64 generator: per chunk the king's
-choices, then the king's uniforms, then the control uniforms.  Each uniform
-becomes an outcome by counting the CDF columns of its row below it, a flat
-boolean table gives every (choice, outcome, control outcome) its win, and one
-bincount of 2 * choice + win tallies rounds and wins.  Memory is O(CHUNK), a
-seed pins the result bit for bit, and a run of up to CHUNK trials consumes
-the stream exactly as one unchunked draw would.
+choices, then the king's uniforms, then the control uniforms.  The choices
+are the index two inverse-CDF passes refine in place, BLOCK trials at a time
+so every temporary stays in cache; one bincount of it counts each (choice,
+king outcome, control outcome) cell, and a boolean win table weights the
+cells into wins.  Memory is O(CHUNK), about 16 B per trial, a seed pins the
+result bit for bit, and a run within one chunk reads the stream as one draw.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .strategy import ConventionalStrategy, overlap_matrix
 
 GENERATOR_NAME = "numpy-pcg64"
 CHUNK = 1 << 20
+BLOCK = 1 << 14
 
 
 @dataclass
@@ -166,37 +168,40 @@ def _lower(strategy: Strategy) -> GameTables:
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
-def _draw(prob_rows: np.ndarray, row_index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample, one outcome per trial: how many of the first n - 1
-    CDF columns of its row lie below u.  A CDF is monotone, so this equals the
-    count over all n columns clipped at n - 1."""
-    index = np.zeros(len(u), dtype=np.intp)
-    for column in np.cumsum(prob_rows, axis=-1).T[:-1].copy():
-        index += u > column.take(row_index)
-    return index
+def _refine(index: np.ndarray, u: np.ndarray, prob_rows: np.ndarray) -> None:
+    """Inverse-CDF sample in place, index <- index * n + outcome: the count of
+    the first n - 1 CDF columns of row `index` below u, found by stepping along
+    the flat CDF while u lies above it, as a CDF is monotone."""
+    n, cdf = prob_rows.shape[1], np.cumsum(prob_rows, axis=-1).ravel()
+    for start in range(0, len(index), BLOCK):
+        i, v = index[start:start + BLOCK], u[start:start + BLOCK]
+        i *= n
+        for _ in range(n - 1):
+            i += v > cdf.take(i)
 
 
 def run(config: GameConfig) -> GameResult:
     """Simulate config.trials rounds; deterministic for a given seed."""
-    if config.trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {config.trials}")
+    trials = operator.index(config.trials) if hasattr(config.trials, "__index__") else 0
+    if trials < 1 or isinstance(config.trials, bool):
+        raise ValueError(f"trials must be a positive integer, got {config.trials!r}")
     tables = _lower(config.strategy)
     n_choices, n_out = tables.first.shape
-    n_k = tables.control.shape[1]
-    # win[(c * n_out + o) * n_k + k]: control outcome k calls king outcome o for c
-    win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).ravel()
-    tally = np.zeros(2 * n_choices, dtype=np.int64)  # [2c]: lost, [2c + 1]: won
+    counts = np.zeros(tables.control.size, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
-    for start in range(0, config.trials, CHUNK):
-        size = min(CHUNK, config.trials - start)
-        choice = rng.integers(0, n_choices, size=size)
-        row = _draw(tables.first, choice, rng.random(size)) + choice * n_out
-        choice *= 2
-        choice += win.take(_draw(tables.control, row, rng.random(size)) + row * n_k)
-        tally += np.bincount(choice, minlength=2 * n_choices)
-    successes = int(tally[1::2].sum())
-    estimate = successes / config.trials
-    stderr = float(np.sqrt(max(estimate * (1 - estimate), 1e-300) / config.trials))
-    per_choice = {c: (int(lost + won), int(won)) for c, (lost, won) in enumerate(tally.reshape(-1, 2))}
-    return GameResult(mode=tables.mode, trials=config.trials, successes=successes, estimate=estimate,
+    for start in range(0, trials, CHUNK):
+        size = min(CHUNK, trials - start)
+        index = rng.integers(0, n_choices, size=size)
+        _refine(index, rng.random(size), tables.first)  # c * n_out + o
+        _refine(index, rng.random(size), tables.control)  # (c * n_out + o) * n_k + k
+        counts += np.bincount(index, minlength=counts.size)
+    # win[c, o * n_k + k]: control outcome k calls king outcome o for choice c
+    win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).reshape(n_choices, -1)
+    played = counts.reshape(n_choices, -1)
+    won = (played * win).sum(axis=1)
+    successes = int(won.sum())
+    estimate = successes / trials
+    stderr = float(np.sqrt(max(estimate * (1 - estimate), 1e-300) / trials))
+    per_choice = {c: (int(p), int(w)) for c, (p, w) in enumerate(zip(played.sum(axis=1), won))}
+    return GameResult(mode=tables.mode, trials=trials, successes=successes, estimate=estimate,
                       stderr=stderr, per_choice=per_choice, seed=config.seed)

@@ -256,17 +256,12 @@ def criterion_cube_conventional() -> CriterionResult:
 def criterion_monte_carlo(profile: str = "full") -> CriterionResult:
     trials = 1_000_000 if profile == "full" else 100_000
     t0 = time.perf_counter()
-    cases: list[tuple[str, object, float]] = []
-    d4 = d4_optimal_strategy()
-    cases.append(("d4", d4, success_exact(d4).total))
-    d2 = d2_optimal_strategy()
-    cases.append(("d2", d2, success_exact(d2).total))
-    vaa = cube_vaa_strategy()
-    cases.append(("cube-vaa", vaa, vaa_success_exact(vaa.setup)))
-    conv = cube_conventional_strategy()
-    cases.append(("cube-conv", conv, conventional_cube_value(conv.setup, conv.direction)))
-    problems = []
-    measured = []
+    d4, d2, vaa, conv = (d4_optimal_strategy(), d2_optimal_strategy(), cube_vaa_strategy(),
+                         cube_conventional_strategy())
+    cases = [("d4", d4, success_exact(d4).total), ("d2", d2, success_exact(d2).total),
+             ("cube-vaa", vaa, vaa_success_exact(vaa.setup)),
+             ("cube-conv", conv, conventional_cube_value(conv.setup, conv.direction))]
+    problems, measured = [], []
     for name, strat, exact in cases:
         result = run(GameConfig(strategy=strat, trials=trials, seed=ACCEPTANCE_SEED))
         dev = abs(result.estimate - exact)

@@ -2,6 +2,7 @@
 pinned seeded counts, equality with the reference sampler, and chunked
 sampling with bounded memory."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,14 @@ import pytest
 
 from kings.cube import conventional_cube_value, make_cube_setup, vaa_success_exact
 from kings.game import (
+    BLOCK,
     CHUNK,
     CubeConventionalStrategy,
     CubeVaaStrategy,
     GameConfig,
     GameResult,
-    _draw,
     _lower,
+    _refine,
     run,
 )
 from kings.mub import construct_mub
@@ -127,8 +129,11 @@ def test_draw_equals_reference_on_ties_and_past_the_last_cdf_value():
     cdf = np.cumsum(probs, axis=-1)
     u = np.concatenate([cdf.ravel(), [0.0, 1 - 5e-10, 0.5]])
     row = np.array([0, 0, 0, 1, 1, 1, 0, 0, 1])
-    assert _draw(probs, row, u).tolist() == _sample_rows(probs, row, u).tolist()
-    assert _draw(probs, row, u).tolist() == [0, 1, 2, 0, 1, 2, 0, 2, 1]
+    index = row.copy()
+    _refine(index, u, probs)
+    outcome = index - row * probs.shape[1]
+    assert outcome.tolist() == _sample_rows(probs, row, u).tolist()
+    assert outcome.tolist() == [0, 1, 2, 0, 1, 2, 0, 2, 1]
 
 
 @pytest.mark.parametrize("trials", [1, 7, 2_000, CHUNK + 1])
@@ -148,6 +153,35 @@ def test_random_strategies_equal_reference_sampler(d):
         assert run(config) == _reference_run(config)
 
 
+@pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, 2 * CHUNK + BLOCK + 1])
+@pytest.mark.parametrize("name, strategy, exact, n_choices", _cases())
+def test_presets_equal_reference_sampler_at_block_boundaries(name, strategy, exact, n_choices,
+                                                            trials):
+    config = GameConfig(strategy=strategy, trials=trials, seed=ACCEPTANCE_SEED)
+    assert run(config) == _reference_run(config)
+
+
+@pytest.mark.parametrize("trials", [1, CHUNK + BLOCK + 1])
+def test_largest_count_table_equals_reference_sampler(trials):
+    """d = 7 has 8 choices, 7 king and 7 control outcomes: 392 tallied cells."""
+    rng = np.random.default_rng(707)
+    strategy = random_strategy(construct_mub(7), int(rng.integers(8)), rng)
+    config = GameConfig(strategy=strategy, trials=trials, seed=int(rng.integers(2**63)))
+    assert _lower(strategy).control.size == 8 * 7 * 7
+    assert run(config) == _reference_run(config)
+
+
+@pytest.mark.parametrize("trials", [0, -3, True, False, 2.5, 3.0, "5", None])
+def test_run_rejects_trial_counts_that_are_not_positive_integers(trials):
+    with pytest.raises(ValueError, match=re.escape(f"got {trials!r}")):
+        run(GameConfig(strategy=d2_optimal_strategy(), trials=trials, seed=0))
+
+
+def test_run_accepts_numpy_integer_trial_counts():
+    config = GameConfig(strategy=d2_optimal_strategy(), trials=np.int64(2_000), seed=3)
+    assert run(config) == run(GameConfig(strategy=d2_optimal_strategy(), trials=2_000, seed=3))
+
+
 def _traced_peak(strategy, trials: int) -> int:
     tracemalloc.start()
     try:
@@ -160,6 +194,13 @@ def _traced_peak(strategy, trials: int) -> int:
 @pytest.mark.parametrize("name, strategy, exact, n_choices", _cases())
 def test_memory_per_trial_of_one_chunk(name, strategy, exact, n_choices):
     assert _traced_peak(strategy, CHUNK) <= 48 * CHUNK
+
+
+@pytest.mark.parametrize("name, strategy, exact, n_choices", _cases())
+def test_memory_of_one_chunk_is_its_index_and_uniforms(name, strategy, exact, n_choices):
+    """A chunk holds its int64 index and one float64 uniform array at a time;
+    the blocked passes add only cache-sized temporaries."""
+    assert _traced_peak(strategy, CHUNK) <= 20 * CHUNK
 
 
 def test_memory_stays_flat_beyond_one_chunk():
