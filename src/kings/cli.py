@@ -2,10 +2,14 @@
 the reference tables as CSV/JSON, run the Monte Carlo referee and the
 acceptance suite.
 
+Every flag a subcommand accepts changes what it does: `--seed` exists only
+on `simulate` and `--tolerance` (the certification tolerance) only on `mub`.
 Every artifact-writing command drops a run manifest next to its output so
 the emitting command line, seed, tool version and tolerances are always
 recoverable; stdout-printing commands embed the manifest in their JSON.
-Exit codes: 0 success, 1 failed check, 2 usage error.
+Exit codes: 0 success, 1 failed check, 2 usage error. A usage error is a
+malformed command line, a value the library rejects with `ValueError`, or a
+path that cannot be used; each is reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ class RunManifest:
     timestamp: str
 
 
-def make_manifest(command: str, parameters: dict[str, Any], seed: int | None,
-                  tolerance: float | None) -> RunManifest:
+def make_manifest(command: str, parameters: dict[str, Any], *, seed: int | None = None,
+                  tolerance: float | None = None) -> RunManifest:
     return RunManifest(
         command=command,
         parameters=parameters,
@@ -84,17 +88,21 @@ def make_manifest(command: str, parameters: dict[str, Any], seed: int | None,
     )
 
 
+def _emit(text: str, out: str | None, manifest: RunManifest) -> None:
+    """Print `text`, or write it to `out` with a `.manifest.json` sibling."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w") as fh:
+        fh.write(text)
+    _write_manifest(_sibling_manifest_path(out), manifest, [out])
+
+
 def _print_json(obj: dict[str, Any], out: str | None, manifest: RunManifest) -> None:
-    """Print to stdout (manifest embedded) or write out + manifest sibling."""
+    """Print with the manifest embedded, or write `out` + manifest sibling."""
     if out is None:
         obj = {"manifest": asdict(manifest), **obj}
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(_sibling_manifest_path(out), manifest, [out])
+    _emit(json.dumps(obj, indent=2) + "\n", out, manifest)
 
 
 def _sibling_manifest_path(out: str) -> str:
@@ -109,17 +117,24 @@ def _write_manifest(path: str, manifest: RunManifest, files: list[str]) -> None:
         fh.write("\n")
 
 
+def _write_table_files(outdir: str, which: tuple[int, ...], manifest: RunManifest) -> None:
+    """Write the numbered tables and `manifest.json` into `outdir`; print the paths."""
+    paths = write_tables(outdir, which=which)
+    _write_manifest(os.path.join(outdir, "manifest.json"), manifest, paths)
+    for p in paths:
+        print(p)
+
+
 # --- subcommands --------------------------------------------------------------
 
 
 def cmd_mub(args: argparse.Namespace) -> int:
-    try:
-        family = construct_mub(args.d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.tolerance is not None and not 0 < args.tolerance < math.inf:
+        raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
+    family = construct_mub(args.d)
     report = certify_family(family, atol=args.tolerance)
     manifest = make_manifest("mub", {"d": args.d, "emit": args.emit, "out": args.out},
-                             args.seed, args.tolerance)
+                             tolerance=args.tolerance)
     emit = args.emit or "json"
     if emit == "json":
         obj = family_to_json(family)
@@ -130,7 +145,7 @@ def cmd_mub(args: argparse.Namespace) -> int:
             "atol": report.atol,
         }
         _print_json(obj, args.out, manifest)
-    elif emit == "csv":
+    elif emit == "csv":  # the file is written by the csv module (CRLF), stdout is LF
         header, rows = family_csv_header(family.dim), family_to_csv_rows(family)
         if args.out is None:
             print(",".join(header))
@@ -145,25 +160,17 @@ def cmd_mub(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    manifest = make_manifest("bound", {"d": args.d, "r": args.r, "table1": args.table1},
-                             args.seed, args.tolerance)
+    manifest = make_manifest("bound", {"d": args.d, "r": args.r, "table1": args.table1})
     if args.table1:
+        if args.d is not None or args.r is not None:
+            raise UsageError("bound --table1 prints every dimension and takes no --d or --r")
         header, rows = table1_csv()
-        text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            _write_manifest(_sibling_manifest_path(args.out), manifest, [args.out])
+        _emit("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]),
+              args.out, manifest)
         return 0
     if args.d is None:
         raise UsageError("bound needs --d (or --table1)")
-    try:
-        report = bound_report(args.d, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _print_json(bound_report_to_json(report), args.out, manifest)
+    _print_json(bound_report_to_json(bound_report(args.d, args.r)), args.out, manifest)
     return 0
 
 
@@ -187,29 +194,17 @@ def _load_control(source: str, d: int):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        family = construct_mub(args.d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    family = construct_mub(args.d)
     control = _load_control(args.control, args.d)
-    try:
-        strategy = build_strategy(family, args.prep_basis, args.prep_index, control)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    breakdown = success_exact(strategy)
-    manifest = make_manifest(
-        "eval",
-        {"d": args.d, "control": args.control, "prep_basis": args.prep_basis,
-         "prep_index": args.prep_index},
-        args.seed, args.tolerance,
-    )
-    _print_json(breakdown_to_json(breakdown), args.out, manifest)
+    strategy = build_strategy(family, args.prep_basis, args.prep_index, control)
+    manifest = make_manifest("eval", {"d": args.d, "control": args.control,
+                                      "prep_basis": args.prep_basis, "prep_index": args.prep_index})
+    _print_json(breakdown_to_json(success_exact(strategy)), args.out, manifest)
     return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    manifest = make_manifest("search", {"d": args.d, "emit": args.emit,
-                                        "outdir": args.outdir}, args.seed, args.tolerance)
+    manifest = make_manifest("search", {"d": args.d, "emit": args.emit, "outdir": args.outdir})
     if args.d == 4:
         emit = args.emit or "table3,table4"
         nums = []
@@ -217,12 +212,11 @@ def cmd_search(args: argparse.Namespace) -> int:
             if name.strip() not in ("table3", "table4"):
                 raise UsageError(f"search --d 4 emits table3 and/or table4, not {name!r}")
             nums.append(int(name.strip()[-1]))
-        paths = write_tables(args.outdir, which=tuple(sorted(set(nums))))
-        _write_manifest(os.path.join(args.outdir, "manifest.json"), manifest, paths)
-        for p in paths:
-            print(p)
+        _write_table_files(args.outdir, tuple(sorted(set(nums))), manifest)
         return 0
     if args.d == 3:
+        if args.emit is not None:
+            raise UsageError("search --d 3 writes impossibility-d3.json and takes no --emit")
         os.makedirs(args.outdir, exist_ok=True)
         family = construct_mub(3)
         report = certify_d3_impossible(family)
@@ -256,32 +250,22 @@ def cmd_search(args: argparse.Namespace) -> int:
     raise UsageError(f"search supports --d 4 (catalogue) and --d 3 (impossibility), not {args.d}")
 
 
-def cmd_cube(args: argparse.Namespace) -> int:
-    setup = make_cube_setup()
-    if args.variant == "vaa":
-        emit = args.emit or "table5"
-        if emit != "table5":
-            raise UsageError(f"cube vaa emits table5, not {emit!r}")
-        manifest = make_manifest("cube vaa", {"emit": emit, "outdir": args.outdir},
-                                 args.seed, args.tolerance)
-        if args.outdir is None:
-            table = vaa_overlap_table(setup)
-            print("state," + ",".join(f"chi{k + 1}" for k in range(4)))
-            for label, row in zip(collapse_row_labels(), table):
-                print(label + "," + ",".join(f"{v:.6f}" for v in row))
-            return 0
-        paths = write_tables(args.outdir, which=(5,))
-        _write_manifest(os.path.join(args.outdir, "manifest.json"), manifest, paths)
-        for p in paths:
-            print(p)
+def cmd_cube_vaa(args: argparse.Namespace) -> int:
+    if args.outdir is None:
+        table = vaa_overlap_table(make_cube_setup())
+        print("state," + ",".join(f"chi{k + 1}" for k in range(4)))
+        for label, row in zip(collapse_row_labels(), table):
+            print(label + "," + ",".join(f"{v:.6f}" for v in row))
         return 0
-    # conventional
-    try:
-        result = conventional_cube_optimize(setup, grid_deg=args.grid_deg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    manifest = make_manifest("cube conventional", {"grid_deg": args.grid_deg},
-                             args.seed, args.tolerance)
+    manifest = make_manifest("cube vaa", {"emit": "table5", "outdir": args.outdir})
+    _write_table_files(args.outdir, (5,), manifest)
+    return 0
+
+
+def cmd_cube_conventional(args: argparse.Namespace) -> int:
+    setup = make_cube_setup()
+    result = conventional_cube_optimize(setup, grid_deg=args.grid_deg)
+    manifest = make_manifest("cube conventional", {"grid_deg": args.grid_deg})
     obj = {
         "value": result.value,
         "direction": [float(x) for x in result.direction],
@@ -301,14 +285,12 @@ _SIM_MODES = {"d4": d4_optimal_strategy, "d2": d2_optimal_strategy,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     strategy = _SIM_MODES[args.mode]()
-    try:
-        result = run(GameConfig(strategy=strategy, trials=args.trials, seed=seed))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = run(GameConfig(strategy=strategy, trials=args.trials, seed=args.seed))
     manifest = make_manifest("simulate", {"mode": args.mode, "trials": args.trials},
-                             seed, args.tolerance)
+                             seed=args.seed)
     _print_json(game_result_to_json(result), args.out, manifest)
     return 0
 
@@ -320,12 +302,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         raise UsageError(f"--which wants numbers like 1,3,5: {exc}") from exc
     if not which or any(w not in (1, 2, 3, 4, 5) for w in which):
         raise UsageError(f"--which entries must be table numbers 1..5, got {args.which!r}")
-    manifest = make_manifest("tables", {"which": list(which), "outdir": args.outdir},
-                             args.seed, args.tolerance)
-    paths = write_tables(args.outdir, which=which)
-    _write_manifest(os.path.join(args.outdir, "manifest.json"), manifest, paths)
-    for p in paths:
-        print(p)
+    manifest = make_manifest("tables", {"which": list(which), "outdir": args.outdir})
+    _write_table_files(args.outdir, which, manifest)
     return 0
 
 
@@ -355,13 +333,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # shared flags, each attached only to the subcommands that read it
-    seeded, emit, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    seeded.add_argument("--seed", type=int, default=None, help="RNG seed where applicable")
-    seeded.add_argument("--tolerance", type=float, default=None,
-                        help="override the comparison tolerance where applicable")
-    emit.add_argument("--emit", type=str, default=None,
-                      help="output format/selection (per subcommand)")
+    out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=None,
                      help="write to this file instead of stdout (manifest sibling)")
     parser = _Parser(
@@ -370,21 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "constructions, bounds, searches and the cube-diagonal game.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.set_defaults(seed=None, tolerance=None)  # verify takes neither
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mub", parents=[seeded, emit, out],
-                       help="construct and certify an unbiased family")
+    p = sub.add_parser("mub", parents=[out], help="construct and certify an unbiased family")
     p.add_argument("--d", type=int, required=True, help="Hilbert space dimension")
+    p.add_argument("--emit", type=str, default=None, help="json (default) or csv")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="certification tolerance (default: the comparison tolerance)")
     p.set_defaults(func=cmd_mub)
 
-    p = sub.add_parser("bound", parents=[seeded, out], help="success bounds and their split forms")
+    p = sub.add_parser("bound", parents=[out], help="success bounds and their split forms")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--r", type=int, default=None, help="number of guessed bases")
     p.add_argument("--table1", action="store_true", help="emit the bound summary as CSV")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("eval", parents=[seeded, out], help="exact success of a control basis")
+    p = sub.add_parser("eval", parents=[out], help="exact success of a control basis")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--control", type=str, required=True,
                    help="'builtin' (d=2 or 4) or a JSON basis file")
@@ -392,27 +365,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prep-index", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", parents=[seeded, emit],
+    p = sub.add_parser("search",
                        help="equal-overlap state search (d=4) / impossibility certificate (d=3)")
     p.add_argument("--d", type=int, required=True)
+    p.add_argument("--emit", type=str, default=None,
+                   help="d=4 only: table3, table4 or both (default)")
     p.add_argument("--outdir", type=str, default=".")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("cube", help="cube-diagonal qubit game")
     cube_sub = p.add_subparsers(dest="variant", required=True)
-    v = cube_sub.add_parser("vaa", parents=[seeded, emit], help="entangled-pair protocol tables")
+    v = cube_sub.add_parser("vaa", help="entangled-pair protocol tables")
     v.add_argument("--outdir", type=str, default=None)
-    v.set_defaults(func=cmd_cube, variant="vaa")
-    c = cube_sub.add_parser("conventional", parents=[seeded, out], help="ancilla-free optimum")
+    v.set_defaults(func=cmd_cube_vaa)
+    c = cube_sub.add_parser("conventional", parents=[out], help="ancilla-free optimum")
     c.add_argument("--grid-deg", type=float, default=0.25)
-    c.set_defaults(func=cmd_cube, variant="conventional")
+    c.set_defaults(func=cmd_cube_conventional)
 
-    p = sub.add_parser("simulate", parents=[seeded, out], help="Monte Carlo referee")
+    p = sub.add_parser("simulate", parents=[out], help="Monte Carlo referee")
     p.add_argument("--mode", type=str, required=True, choices=tuple(_SIM_MODES))
     p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("tables", parents=[seeded], help="write reference tables as CSV + JSON")
+    p = sub.add_parser("tables", help="write reference tables as CSV + JSON")
     p.add_argument("--which", type=str, default="1,2,3,4,5")
     p.add_argument("--outdir", type=str, default="tables")
     p.set_defaults(func=cmd_tables)
@@ -427,12 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
-        if args.tolerance is not None and not 0 < args.tolerance < math.inf:
-            raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
         return args.func(args)
-    except (UsageError, OSError) as exc:  # an OSError names the path it could not use
+    except (UsageError, ValueError, OSError) as exc:  # each names the bad value or path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

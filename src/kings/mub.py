@@ -185,7 +185,8 @@ def certify_family(family: MubFamily, *, atol: float | None = None) -> Certifica
 
     Passes only if every basis is orthonormal and every cross-basis overlap
     satisfies |<a|b>|^2 = 1/d, both within `atol` (default: the comparison
-    tolerance).
+    tolerance). A NaN deviation is worst of all: it is kept once seen, so it
+    is reported and fails the family.
     """
     atol = DEFAULT.comparison if atol is None else atol
     d = family.dim
@@ -194,7 +195,8 @@ def certify_family(family: MubFamily, *, atol: float | None = None) -> Certifica
     for basis in family.bases:
         gram = np.abs(basis.states.conj() @ basis.states.T - np.eye(d))
         idx = np.unravel_index(np.argmax(gram), gram.shape)
-        if gram[idx] >= worst_orth:
+        # argmax picks the first NaN if there is one; once worst is NaN it stays NaN
+        if not (gram[idx] < worst_orth or np.isnan(worst_orth)):
             worst_orth = float(gram[idx])
             worst_orth_at = (basis.label, int(idx[0]), int(idx[1]))
     worst_unb = 0.0
@@ -206,7 +208,7 @@ def certify_family(family: MubFamily, *, atol: float | None = None) -> Certifica
             cross = np.abs(family.bases[a].states.conj() @ family.bases[b].states.T) ** 2
             dev = np.abs(cross - 1.0 / d)
             idx = np.unravel_index(np.argmax(dev), dev.shape)
-            if dev[idx] >= worst_unb:
+            if not (dev[idx] < worst_unb or np.isnan(worst_unb)):
                 worst_unb = float(dev[idx])
                 worst_unb_at = (a, int(idx[0]), b, int(idx[1]))
     return CertificationReport(

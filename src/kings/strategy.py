@@ -117,7 +117,7 @@ class ConventionalStrategy:
             raise ValueError(f"prep_index {self.prep_index} is not a state index "
                              f"0..{self.family.dim - 1}")
         defect = orthonormality_defect(self.control.states)
-        if defect > DEFAULT.construction:
+        if not defect <= DEFAULT.construction:  # a NaN defect fails too
             raise ValueError(f"control basis is not orthonormal (defect {defect:g})")
         self.assignment.require_well_conditioned()
         covered = set(self.assignment.covered)

@@ -52,6 +52,18 @@ class CriterionResult:
         return f"[{self.number:2d}] {status}  {self.name}  ({self.elapsed:.3f} s)  {self.details}"
 
 
+def _result(number: int, name: str, elapsed: float, problems: list[str], details: str,
+            budget: float | None = None) -> CriterionResult:
+    """A criterion passes when it found no problem and kept within its budget.
+
+    A failing criterion reports its problems, a passing one its details.
+    """
+    if budget is not None and not elapsed < budget:
+        problems = [*problems, f"took {elapsed:.3f} s, budget {budget:g} s"]
+    return CriterionResult(number, name, not problems,
+                           "; ".join(problems) if problems else details, elapsed, budget)
+
+
 def criterion_bound_table() -> CriterionResult:
     bound_p(2)  # warm-up outside the timed region
     t0 = time.perf_counter()
@@ -61,9 +73,9 @@ def criterion_bound_table() -> CriterionResult:
         d: v for d, v in values.items()
         if round(v, 4) != reference.SUCCESS_BOUND_TABLE[d]
     }
-    passed = not bad and elapsed < 1e-3
-    details = "all 6 dimensions match to 4 decimals" if not bad else f"mismatches: {bad}"
-    return CriterionResult(1, "success bound summary values", passed, details, elapsed, 1e-3)
+    problems = [f"mismatches: {bad}"] if bad else []
+    return _result(1, "success bound summary values", elapsed, problems,
+                   "all 6 dimensions match to 4 decimals", 1e-3)
 
 
 def criterion_split_identities() -> CriterionResult:
@@ -80,32 +92,29 @@ def criterion_split_identities() -> CriterionResult:
             worst_edge = max(worst_edge, abs(total_bound(d, r) - edge))
         strict = strict and edge < bound_p(d)
     elapsed = time.perf_counter() - t0
-    passed = worst_mid <= 1e-14 and worst_edge <= 1e-14 and strict and elapsed < 1e-3
     details = (
         f"max |split - direct| = {worst_mid:.2e}, edge cases {worst_edge:.2e}, "
         f"all-or-nothing strictly below"
     )
-    return CriterionResult(2, "guess/control split identities", passed, details, elapsed, 1e-3)
+    problems = [] if worst_mid <= 1e-14 and worst_edge <= 1e-14 and strict else [details]
+    return _result(2, "guess/control split identities", elapsed, problems, details, 1e-3)
 
 
 def criterion_mub_certification() -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
     dims = (2, 3, 4, 5, 7, 11, 13)
+    problems = []
     for d in dims:
         report = certify_family(construct_mub(d), atol=1e-10)
         worst = max(worst, report.max_orthonormality_deviation,
                     report.max_unbiasedness_deviation)
         if not report.passed:
-            elapsed = time.perf_counter() - t0
-            return CriterionResult(
-                3, "unbiased family certification", False,
-                f"dim {d} failed: {report!r}", elapsed, 1.0,
-            )
+            problems.append(f"dim {d} failed: {report!r}")
+            break
     elapsed = time.perf_counter() - t0
-    passed = elapsed < 1.0
-    details = f"dims {dims} certified, worst deviation {worst:.2e}"
-    return CriterionResult(3, "unbiased family certification", passed, details, elapsed, 1.0)
+    return _result(3, "unbiased family certification", elapsed, problems,
+                   f"dims {dims} certified, worst deviation {worst:.2e}", 1.0)
 
 
 def criterion_d4_search() -> CriterionResult:
@@ -137,9 +146,8 @@ def criterion_d4_search() -> CriterionResult:
     first = tuple(m + 1 for m in bases[0].members) if bases else ()
     if (1, 11, 22, 32) not in {tuple(m + 1 for m in b.members) for b in bases}:
         problems.append(f"quadruple (1, 11, 22, 32) missing; first found {first}")
-    passed = not problems and elapsed < 10.0
-    details = "32 states and 32 bases, catalog exact" if not problems else "; ".join(problems)
-    return CriterionResult(4, "equal-overlap state search (d=4)", passed, details, elapsed, 10.0)
+    return _result(4, "equal-overlap state search (d=4)", elapsed, problems,
+                   "32 states and 32 bases, catalog exact", 10.0)
 
 
 def criterion_d4_optimum() -> CriterionResult:
@@ -164,13 +172,9 @@ def criterion_d4_optimum() -> CriterionResult:
             )
             break
     elapsed = time.perf_counter() - t0
-    passed = not problems
-    details = (
-        f"all 32 bases: |success - 0.7| <= {worst_total:.1e}, "
-        f"|F - {ceiling}| <= {worst_f:.1e}, mirrored within {worst_mirror:.1e}"
-        if passed else "; ".join(problems)
-    )
-    return CriterionResult(5, "saturating strategies in d=4", passed, details, elapsed)
+    return _result(5, "saturating strategies in d=4", elapsed, problems,
+                   f"all 32 bases: |success - 0.7| <= {worst_total:.1e}, "
+                   f"|F - {ceiling}| <= {worst_f:.1e}, mirrored within {worst_mirror:.1e}")
 
 
 def criterion_d3_impossibility() -> CriterionResult:
@@ -187,13 +191,10 @@ def criterion_d3_impossibility() -> CriterionResult:
         problems.append(f"tuple {worst_t.indices} has floor {worst_t.floor:.2e} <= {report.delta}")
     if gap <= 0:
         problems.append(f"relaxed maximum {relaxed.value!r} does not sit below {ceiling!r}")
-    passed = not problems and elapsed < 60.0
-    details = (f"all 27 tuples fail by >= {report.worst:.6f}, floor - delta "
-               f"{report.floor - report.delta:.6f}; overlap-sum gap {gap:.6f}; "
-               f"{report.evaluated} of {report.grid_nodes} grid nodes evaluated")
-    if problems:
-        details = "; ".join(problems)
-    return CriterionResult(6, "no saturating states in d=3", passed, details, elapsed, 60.0)
+    return _result(6, "no saturating states in d=3", elapsed, problems,
+                   f"all 27 tuples fail by >= {report.worst:.6f}, floor - delta "
+                   f"{report.floor - report.delta:.6f}; overlap-sum gap {gap:.6f}; "
+                   f"{report.evaluated} of {report.grid_nodes} grid nodes evaluated", 60.0)
 
 
 def criterion_cube_vaa() -> CriterionResult:
@@ -217,12 +218,8 @@ def criterion_cube_vaa() -> CriterionResult:
         problems.append(f"success prints as {success:.3f}")
     if chi1 != (1, -1, 1, 1):
         problems.append(f"chi_1 predictions {chi1}")
-    passed = not problems
-    details = (
-        f"table within {table_dev:.1e}, success {success:.6f}, chi_1 rule (+,-,+,+)"
-        if passed else "; ".join(problems)
-    )
-    return CriterionResult(7, "cube game with entangled pair", passed, details, elapsed)
+    return _result(7, "cube game with entangled pair", elapsed, problems,
+                   f"table within {table_dev:.1e}, success {success:.6f}, chi_1 rule (+,-,+,+)")
 
 
 def criterion_cube_conventional() -> CriterionResult:
@@ -241,16 +238,12 @@ def criterion_cube_conventional() -> CriterionResult:
         problems.append("optimum not on a preparation-diagonal great circle")
     if result.value <= conventional_baseline(setup):
         problems.append("does not beat the constant-guess baseline")
-    passed = not problems
-    details = (
-        f"value {result.value:.9f} (exact {exact:.9f}, |value - exact| "
-        f"{abs(result.value - exact):.1e}, value - grid_best "
-        f"{result.value - result.grid_best:.1e}), angle "
-        f"{result.angle_to_first_diagonal_deg:.3f} deg (reference {reference_angle:.3f}), "
-        f"{len(result.co_optima)} co-optimal axes"
-        if passed else "; ".join(problems)
-    )
-    return CriterionResult(8, "ancilla-free cube optimum", passed, details, elapsed)
+    return _result(8, "ancilla-free cube optimum", elapsed, problems,
+                   f"value {result.value:.9f} (exact {exact:.9f}, |value - exact| "
+                   f"{abs(result.value - exact):.1e}, value - grid_best "
+                   f"{result.value - result.grid_best:.1e}), angle "
+                   f"{result.angle_to_first_diagonal_deg:.3f} deg (reference "
+                   f"{reference_angle:.3f}), {len(result.co_optima)} co-optimal axes")
 
 
 def criterion_monte_carlo(profile: str = "full") -> CriterionResult:
@@ -269,9 +262,8 @@ def criterion_monte_carlo(profile: str = "full") -> CriterionResult:
         if dev > 3 * result.stderr:
             problems.append(f"{name}: estimate {result.estimate!r} vs exact {exact!r}")
     elapsed = time.perf_counter() - t0
-    passed = not problems and elapsed < 60.0
-    details = ", ".join(measured) if not problems else "; ".join(problems)
-    return CriterionResult(9, f"Monte Carlo referee ({trials} trials)", passed, details, elapsed, 60.0)
+    return _result(9, f"Monte Carlo referee ({trials} trials)", elapsed, problems,
+                   ", ".join(measured), 60.0)
 
 
 def criterion_property_battery() -> CriterionResult:
@@ -298,12 +290,9 @@ def criterion_property_battery() -> CriterionResult:
     if run(config) != run(config):
         problems.append("identical seeds produced different results")
     elapsed = time.perf_counter() - t0
-    passed = not problems
-    details = (
-        f"3000 random strategies bounded, regroup identity {worst_identity:.1e}, reruns identical"
-        if passed else "; ".join(problems)
-    )
-    return CriterionResult(10, "strategy property battery", passed, details, elapsed)
+    return _result(10, "strategy property battery", elapsed, problems,
+                   f"3000 random strategies bounded, regroup identity {worst_identity:.1e}, "
+                   f"reruns identical")
 
 
 def run_all(profile: str = "full") -> list[CriterionResult]:

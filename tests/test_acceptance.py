@@ -4,6 +4,8 @@ Each test prints the criterion's pass/fail line (visible with -s or on
 failure) and asserts it passed.  The same checks back `kings verify`.
 """
 
+import itertools
+
 from kings import verify
 
 
@@ -55,3 +57,12 @@ def test_criterion_09_monte_carlo_oracle():
 
 def test_criterion_10_property_battery():
     _check(verify.criterion_property_battery())
+
+
+def test_over_budget_criterion_fails_and_names_its_budget(monkeypatch):
+    clock = itertools.count()
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: float(next(clock)))
+    result = verify.criterion_bound_table()
+    assert not result.passed
+    assert result.details == "took 1.000 s, budget 0.001 s"
+    assert "FAIL" in result.line()

@@ -1,6 +1,8 @@
 """End-to-end command-line checks: outputs parse with the library's own
 readers, manifests land next to artifacts, exit codes follow the contract."""
 
+import argparse
+import inspect
 import io
 import json
 import os
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kings.bounds import bound_p
-from kings.cli import main
+from kings.cli import build_parser, main
 from kings.mub import construct_mub
 from kings.presets import d2_optimal_strategy
 from kings.serialize import (
@@ -161,12 +163,11 @@ def test_search_d4_single_table(capsys, tmp_path):
     assert not (tmp_path / "table4.csv").exists()
 
 
-@pytest.mark.parametrize("seed_args, recorded", [((), None), (("--seed", "3"), 3)])
-def test_search_manifest_records_seed_as_given(capsys, tmp_path, seed_args, recorded):
+def test_search_manifest_records_seed_as_given(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "search", "--d", "4", "--outdir", str(tmp_path),
-                         "--emit", "table3", *seed_args)
+                         "--emit", "table3")
     assert code == 0
-    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == recorded
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] is None
 
 
 def test_search_d3_impossibility_report(capsys, tmp_path):
@@ -233,7 +234,6 @@ def test_cube_conventional(capsys):
     ("mub", "--d", "4", "--tolerance", "nan"),
     ("mub", "--d", "4", "--tolerance", "inf"),
     ("simulate", "--mode", "d2", "--seed", "-1"),
-    ("search", "--d", "3", "--seed", "-1"),
     ("tables", "--outdir", "/dev/null/x"),
     ("search", "--d", "3", "--outdir", "/dev/null/x"),
     ("search", "--d", "4", "--outdir", "/dev/null/x"),
@@ -268,6 +268,10 @@ def test_bad_numbers_exit_2_with_one_line(capsys, argv):
     ("eval", "--d", "4", "--control", "builtin", "--emit", "json"),
     ("cube", "conventional", "--emit", "json"),
     ("mub", "--d", "nan"),
+    ("search", "--d", "3", "--seed", "-1"),
+    ("tables", "--seed", "1"),
+    ("eval", "--d", "4", "--control", "builtin", "--tolerance", "1e-9"),
+    ("cube", "vaa", "--emit", "table5"),
 ])
 def test_unread_flags_and_malformed_values_exit_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -280,18 +284,72 @@ def test_unread_flags_and_malformed_values_exit_2_with_one_line(capsys, argv):
     assert argv[-2] in out.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("bound", "--table1", "--d", "3", "--out"), "--d"),
+    (("bound", "--table1", "--r", "2", "--out"), "--r"),
+    (("search", "--d", "3", "--emit", "table3", "--outdir"), "--emit"),
+])
+def test_ignored_flag_combinations_exit_2_with_one_line(capsys, tmp_path, argv, flag):
+    target = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, str(target))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert flag in err
+    assert not target.exists()
+
+
+# The option strings of each subcommand; each one changes what it does.
+SUBCOMMAND_FLAGS = {
+    "mub": {"--d", "--emit", "--tolerance", "--out"},
+    "bound": {"--d", "--r", "--table1", "--out"},
+    "eval": {"--d", "--control", "--prep-basis", "--prep-index", "--out"},
+    "search": {"--d", "--emit", "--outdir"},
+    "cube vaa": {"--outdir"},
+    "cube conventional": {"--grid-deg", "--out"},
+    "simulate": {"--mode", "--trials", "--seed", "--out"},
+    "tables": {"--which", "--outdir"},
+    "verify": {"--profile"},
+}
+
+
+def _leaf_parsers(parser, name=""):
+    """Map each leaf subcommand ("cube vaa", ...) to its parser."""
+    leaves = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub_name, sub in action.choices.items():
+                leaves.update(_leaf_parsers(sub, f"{name} {sub_name}".strip()))
+    return leaves or {name: parser}
+
+
+def test_every_subcommand_accepts_only_the_flags_it_reads():
+    leaves = _leaf_parsers(build_parser())
+    options = {
+        name: [a for a in sub._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        for name, sub in leaves.items()
+    }
+    assert {name: {s for a in acts for s in a.option_strings}
+            for name, acts in options.items()} == SUBCOMMAND_FLAGS
+    for name, acts in options.items():
+        source = inspect.getsource(leaves[name].get_default("func"))
+        unread = [a.option_strings[0] for a in acts if f"args.{a.dest}" not in source]
+        assert not unread, f"{name} accepts {unread} but never reads them"
+
+
 # Every subcommand with valid required arguments, and the flags it reads.
 FUZZ_COMMANDS = [
-    (("mub", "--d", "4"), ("--seed", "--tolerance", "--d", "--out")),
-    (("bound", "--d", "3"), ("--seed", "--tolerance", "--d", "--out")),
+    (("mub", "--d", "4"), ("--tolerance", "--d", "--out")),
+    (("bound", "--d", "3"), ("--d", "--out")),
     (("eval", "--d", "4", "--control", "builtin"),
-     ("--seed", "--tolerance", "--d", "--prep-basis", "--prep-index", "--out")),
-    (("search", "--d", "4"), ("--seed", "--tolerance", "--d", "--outdir")),
-    (("cube", "vaa"), ("--seed", "--tolerance", "--outdir")),
-    (("cube", "conventional", "--grid-deg", "5"), ("--seed", "--tolerance", "--grid-deg", "--out")),
-    (("simulate", "--mode", "d2", "--trials", "1000"),
-     ("--seed", "--tolerance", "--trials", "--out")),
-    (("tables", "--which", "1"), ("--seed", "--tolerance", "--outdir")),
+     ("--d", "--prep-basis", "--prep-index", "--out")),
+    (("search", "--d", "4"), ("--d", "--outdir")),
+    (("cube", "vaa"), ("--outdir",)),
+    (("cube", "conventional", "--grid-deg", "5"), ("--grid-deg", "--out")),
+    (("simulate", "--mode", "d2", "--trials", "1000"), ("--seed", "--trials", "--out")),
+    (("tables", "--which", "1"), ("--outdir",)),
 ]
 ZERO_IS_VALID = ("--seed", "--prep-basis", "--prep-index")
 NOT_FINITE = st.sampled_from(["nan", "inf", "-inf"])

@@ -113,6 +113,24 @@ def test_corrupted_entry_is_located():
     assert (a == 2 and i == 1) or (b == 2 and j == 1)
 
 
+def test_certification_fails_on_a_nan_entry():
+    family = construct_mub(2)
+    states = family.bases[1].states.copy()
+    states[0, 1] = np.nan
+    broken = MubFamily(
+        dim=2,
+        bases=tuple(
+            OrthonormalBasis(label=m, states=states if m == 1 else b.states)
+            for m, b in enumerate(family.bases)
+        ),
+    )
+    report = certify_family(broken)
+    assert not report.passed
+    assert np.isnan(report.max_orthonormality_deviation)
+    assert np.isnan(report.max_unbiasedness_deviation)
+    assert report.worst_orthonormality[0] == 1
+
+
 def test_orthonormality_defect():
     assert orthonormality_defect(np.eye(3, dtype=complex)) == 0.0
     skew = np.array([[1, 0], [0.1, 1]], dtype=complex)

@@ -1,5 +1,6 @@
 """Strategy assembly, repair, exact success accounting and role exchange."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -194,6 +195,15 @@ def test_strategy_rejects_non_orthonormal_control():
     skew = OrthonormalBasis(label=None, states=np.array([[1, 0], [0.6, 0.8]]))
     with pytest.raises(ValueError):
         build_strategy(family, 0, 0, skew)
+
+
+def test_strategy_rejects_a_nan_control():
+    # constructed directly: build_strategy would already fail in the assignment repair
+    strategy = d2_optimal_strategy()
+    states = strategy.control.states.copy()
+    states[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        dataclasses.replace(strategy, control=OrthonormalBasis(label=None, states=states))
 
 
 @pytest.mark.parametrize("prep_basis, prep_index", [(5, 0), (-1, 0), (0, 4), (0, -1)])
