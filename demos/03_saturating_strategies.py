@@ -2,10 +2,12 @@
 
 A saturating control state must overlap each unbiased-family state it is
 assigned to with squared modulus exactly (sqrt(d) + d - 1) / (d sqrt(d))
-= 5/8.  The scan walks all index tuples and fourth-root phase triples,
-keeps the states that hit 5/8 across the board, groups them into
-orthonormal quadruples, and certifies that each resulting strategy
-scores exactly 0.7 = p(4) with a flat per-outcome sum F = 2.5.
+= 5/8, so its overlap sum with one state per covered basis is 2.5, the
+top Gram eigenvalue of that selection.  The search reads the states off
+the top eigenvectors of the selections that reach 2.5, keeps the ones that
+hit 5/8 across the board, groups them into orthonormal quadruples, and
+certifies that each resulting strategy scores exactly 0.7 = p(4) with a
+flat per-outcome sum F = 2.5.
 """
 
 from __future__ import annotations

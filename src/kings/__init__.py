@@ -67,7 +67,7 @@ from .qstate import (
 )
 from .search import (
     ImpossibilityReport,
-    MeasurementBasis4,
+    MeasurementBasis,
     SignalState,
     TupleDeviation,
     certify_d3_impossible,
@@ -76,7 +76,6 @@ from .search import (
     find_signal_states,
     lattice_deviations,
     signal_candidate,
-    single_overlap_deviation,
 )
 from .strategy import (
     AssignmentMap,
@@ -116,10 +115,9 @@ __all__ = [
     # qstate
     "as_state", "born_probability", "inner", "same_ray", "spin_up_state", "tensor",
     # search
-    "ImpossibilityReport", "MeasurementBasis4", "SignalState", "TupleDeviation",
+    "ImpossibilityReport", "MeasurementBasis", "SignalState", "TupleDeviation",
     "certify_d3_impossible", "certify_optimal_strategy", "find_measurement_bases",
     "find_signal_states", "lattice_deviations", "signal_candidate",
-    "single_overlap_deviation",
     # strategy
     "AssignmentMap", "ConventionalStrategy", "GeneralStrategy", "SuccessBreakdown",
     "assign_greedy", "build_strategy", "complement_strategy", "overlap_matrix",

@@ -116,12 +116,10 @@ def relaxed_f_max(
     covered basis makes F_max the largest top eigenvalue of the picks' Gram
     matrix; one batched eigvalsh covers all d^d selections, ties going to the
     first.  F_max never exceeds d * overlap_target(d) for an unbiased family.
-    Raises ValueError if `excluded` is no basis label or d^d > 5^5 (d >= 7).
-    `restarts` and `seed` are ignored.
+    Raises ValueError, from selection_grams, if `excluded` is no basis label
+    or d^d > 5^5 (d >= 7).  `restarts` and `seed` are ignored.
     """
     d = family.dim
-    if d ** d > 5 ** 5:
-        raise ValueError(f"dim {d} has {d ** d} selections, more than the 3125 enumerated")
     tuples, grams = selection_grams(family, excluded)
     tops = np.linalg.eigvalsh(grams)[:, -1]
     best = int(tops.argmax())

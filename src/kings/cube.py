@@ -55,7 +55,7 @@ def make_cube_setup() -> CubeGameSetup:
         [0, -eb, -e, r2],
     ]))
     defect = orthonormality_defect(vaa.states)
-    if defect > DEFAULT.construction:
+    if not defect <= DEFAULT.construction:
         raise ValueError(f"VAA basis defect {defect:g}")
     return CubeGameSetup(
         diagonals=diagonals, bell=bell, vaa=vaa,
@@ -90,7 +90,7 @@ def verify_bell_decompositions(setup: CubeGameSetup, *, atol: float | None = Non
     for a in range(4):
         candidate = (king_collapse(setup, a, +1) + king_collapse(setup, a, -1)) / np.sqrt(2)
         defects[a] = float(abs(abs(np.vdot(setup.bell, candidate)) - 1.0))
-    bad = {a: v for a, v in defects.items() if v > atol}
+    bad = {a: v for a, v in defects.items() if not v <= atol}
     if bad:
         raise ValueError(f"decomposition defects exceed {atol}: {bad}")
     return defects

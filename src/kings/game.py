@@ -107,7 +107,7 @@ class GameTables:
 def _check_probs(p: np.ndarray) -> np.ndarray:
     """Renormalize a Born distribution, rejecting real corruption."""
     s = p.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(s - 1.0) > DEFAULT.comparison):
+    if not np.all(np.abs(s - 1.0) <= DEFAULT.comparison):  # a NaN sum fails too
         raise ValueError(f"outcome probabilities sum to {s.ravel()!r}, not 1")
     return p / s
 

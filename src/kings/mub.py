@@ -84,11 +84,14 @@ def selection_grams(family: MubFamily, excluded: int = 0) -> tuple[list[tuple[in
 
     Selection t = (j_0, ..., j_{d-1}) picks state j_m of the m-th covered
     basis; the d^d tuples of Python ints come in lexicographic order, and
-    grams[t, m, k] = <pick m | pick k>.
+    grams[t, m, k] = <pick m | pick k>.  Raises ValueError if `excluded` is
+    no basis label or d^d > 5^5 (d >= 7), before any array is built.
     """
     if excluded not in family.labels:
         raise ValueError(f"excluded must be a basis label 0..{family.dim}, got {excluded!r}")
     d = family.dim
+    if d ** d > 5 ** 5:
+        raise ValueError(f"dim {d} has {d ** d} selections, more than the 3125 enumerated")
     tuples = list(itertools.product(range(d), repeat=d))
     comps = np.delete(family.array, excluded, axis=0)[np.arange(d), np.array(tuples)]  # (tuple, m, component)
     return tuples, comps.conj() @ comps.transpose(0, 2, 1)

@@ -22,7 +22,7 @@ def as_state(values: Sequence[complex] | Array, *, atol: float | None = None) ->
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"state must be a nonempty 1-d vector, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > atol:
+    if not abs(norm - 1.0) <= atol:  # a NaN norm fails too
         raise ValueError(f"state is not normalized: norm = {norm!r}")
     return vec
 
@@ -60,7 +60,7 @@ def spin_up_state(direction: Sequence[float] | Array) -> Array:
     if n.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {n.shape}")
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > DEFAULT.construction:
+    if not abs(norm - 1.0) <= DEFAULT.construction:
         raise ValueError(f"direction must be unit length, norm = {norm!r}")
     theta = np.arccos(np.clip(n[2], -1.0, 1.0))
     phi = np.arctan2(n[1], n[0])

@@ -17,7 +17,7 @@ SUCCESS_BOUND_TABLE: dict[int, float] = {
     9: 0.4667,
 }
 
-# The 32 equal-overlap signal states of the d = 4 scan, in canonical
+# The 32 equal-overlap signal states in d = 4, in canonical
 # (lexicographic) order: 1-based constituent indices into bases 1..4 followed
 # by the three phases.  "i" abbreviates the imaginary unit.
 _P = {"1": 1, "-1": -1, "i": 1j, "-i": -1j}

@@ -1,15 +1,16 @@
 """Exact searches for equal-overlap signal states.
 
-A signal state for the d = 4 family superposes one state from each of the
-four non-computational bases with unit-modulus phases,
-
-    chi = (|a> + b |b'> + c |c'> + d |d'>) / sqrt(10),
-
-and qualifies when its squared overlap with every constituent equals
-overlap_target(4) = 5/8.  One vectorized pass over all 4^4 index tuples
-with phases restricted to 4th roots of unity yields exactly 32 solutions,
-whose orthogonality graph has exactly 32 4-cliques: orthonormal bases that
-each saturate the conventional success bound in d = 4.
+A signal state has squared overlap overlap_target(d) with one state of each
+basis 1..d, so its overlap sum with that selection is the ceiling
+d * overlap_target(d).  No unit vector collects more than the selection's top
+Gram eigenvalue, which never exceeds the ceiling, so every signal state is a
+top eigenvector of a selection that reaches it: find_signal_states reads
+them off one batched eigh.  In d = 4 that gives exactly 32 states, each the
+only one of its selection (every maximizer's top eigenvalue is simple), and
+their orthogonality graph has exactly 32 4-cliques: orthonormal bases that
+each saturate the conventional success bound.  d = 2 gives 4 states and 2
+bases; in d = 3 and 5 no selection reaches the ceiling, so no vector of C^d
+is a signal state.
 
 lattice_deviations answers the equal-overlap question for free phases in
 any d: a Lipschitz branch and bound over a phase lattice gives every index
@@ -32,23 +33,21 @@ from .bounds import overlap_target
 from .mub import MubFamily, OrthonormalBasis, selection_grams
 from .strategy import ConventionalStrategy, SuccessBreakdown, build_strategy, success_exact
 
-FOURTH_ROOTS: tuple[complex, ...] = (1, 1j, -1, -1j)
-
 
 @dataclass
 class SignalState:
-    """One equal-overlap superposition found by the scan (indices 0-based)."""
+    """One equal-overlap superposition (indices 0-based, one per basis 1..d)."""
 
-    indices: tuple[int, int, int, int]
-    phases: tuple[complex, complex, complex]
+    indices: tuple[int, ...]
+    phases: tuple[complex, ...]
     vector: np.ndarray
 
 
 @dataclass
-class MeasurementBasis4:
-    """Four mutually orthogonal signal states (indices into the scan output)."""
+class MeasurementBasis:
+    """d mutually orthogonal signal states (indices into find_signal_states' output)."""
 
-    members: tuple[int, int, int, int]
+    members: tuple[int, ...]
     basis: OrthonormalBasis
 
 
@@ -67,59 +66,70 @@ def signal_candidate(
     return _norm_constant(family.dim) * sum(c * v for c, v in zip(coeffs, comps))
 
 
-def find_signal_states(family: MubFamily, *, tol: float = 1e-9) -> list[SignalState]:
-    """Scan all index tuples and 4th-root phase triples for equal overlaps.
+def _exact_phase(z: complex) -> complex:
+    """z, or the 4th root of unity it lies within 1e-12 of, written exactly."""
+    k = int(round(np.angle(z) / (np.pi / 2))) % 4
+    if abs(z - 1j ** k) > 1e-12:
+        return complex(z)
+    return 1j ** k if k % 2 else 1 - k  # 1 and -1 as ints, as SIGNAL_CATALOG has them
 
-    Requires the d = 4 family.  All 256 x 64 candidates are evaluated in one
-    contraction of the per-tuple Gram matrices with the phase vectors.
-    Returns solutions in lexicographic order; the squared overlap with each
-    of the four constituents must equal 5/8 within `tol`.
+
+def find_signal_states(family: MubFamily, *, tol: float = 1e-9) -> list[SignalState]:
+    """Every equal-overlap signal state of the family, in lexicographic order.
+
+    A selection whose top Gram eigenvalue reaches d * overlap_target(d) - tol
+    yields its top eigenvector u; the state superposes the selection with
+    phases u[m] / u[0], 4th roots of unity written exactly, and is kept when
+    its squared overlap with each constituent equals overlap_target(d)
+    within `tol`.  Raises ValueError past 5^5 selections (d >= 7).
     """
     d = family.dim
-    if d != 4:
-        raise ValueError(f"the scan is specific to dim 4, got {d}")
-    index_tuples, gram = selection_grams(family)
-    phase_triples = list(itertools.product(FOURTH_ROOTS, repeat=3))
-    coeffs = np.array([(1, *phases) for phases in phase_triples])
-    amps = _norm_constant(4) * np.einsum("tmk,pk->tpm", gram, coeffs)
-    dev = np.abs(np.abs(amps) ** 2 - overlap_target(d)).max(axis=-1)
+    target = overlap_target(d)
+    index_tuples, grams = selection_grams(family)
+    tops, vecs = np.linalg.eigh(grams)
     found: list[SignalState] = []
-    for t, p in np.argwhere(dev < tol):
-        indices, phases = index_tuples[t], phase_triples[p]
-        found.append(SignalState(indices=indices, phases=phases,
-                                 vector=signal_candidate(family, indices, phases)))
+    for t in np.flatnonzero(tops[:, -1] >= d * target - tol):
+        u = vecs[t, :, -1]
+        phases = tuple(_exact_phase(z) for z in u[1:] / u[0])
+        amps = _norm_constant(d) * grams[t] @ np.array((1, *phases))
+        if np.abs(np.abs(amps) ** 2 - target).max() < tol:
+            indices = index_tuples[t]
+            found.append(SignalState(indices=indices, phases=phases,
+                                     vector=signal_candidate(family, indices, phases)))
     return found
 
 
-def find_measurement_bases(states: list[SignalState], *, tol: float = 1e-9) -> list[MeasurementBasis4]:
-    """All orthonormal quadruples among the signal states, canonically ordered.
+def find_measurement_bases(states: list[SignalState], *, tol: float = 1e-9) -> list[MeasurementBasis]:
+    """All orthonormal bases among the signal states, canonically ordered.
 
-    Enumerates the 4-cliques of the orthogonality graph (an edge wherever two
-    states overlap by less than `tol`): each state is extended by the triples
-    of its later neighbours, so the quadruples come out lexicographically.
+    Enumerates the d-cliques, d the states' dimension, of the orthogonality
+    graph (an edge wherever two states overlap by less than `tol`): each
+    state is extended by the (d - 1)-subsets of its later neighbours, so the
+    bases come out lexicographically.
     """
     vecs = np.array([s.vector for s in states])
+    d = vecs.shape[-1]
     ortho = np.abs(vecs.conj() @ vecs.T) < tol
-    out: list[MeasurementBasis4] = []
+    out: list[MeasurementBasis] = []
     for a in range(len(states)):
         later = [b for b in range(a + 1, len(states)) if ortho[a, b]]
-        for rest in itertools.combinations(later, 3):
+        for rest in itertools.combinations(later, d - 1):
             if all(ortho[x, y] for x, y in itertools.combinations(rest, 2)):
-                quad = (a,) + rest
-                out.append(MeasurementBasis4(
-                    members=quad,
-                    basis=OrthonormalBasis(label=None, states=vecs[list(quad)]),
+                members = (a,) + rest
+                out.append(MeasurementBasis(
+                    members=members,
+                    basis=OrthonormalBasis(label=None, states=vecs[list(members)]),
                 ))
     return out
 
 
-def certify_optimal_strategy(family: MubFamily, basis: MeasurementBasis4) -> tuple[ConventionalStrategy, SuccessBreakdown]:
+def certify_optimal_strategy(family: MubFamily, basis: MeasurementBasis) -> tuple[ConventionalStrategy, SuccessBreakdown]:
     """Turn a signal-state basis into a strategy and check it is optimal.
 
     The greedy assignment pairs each covered basis state with the signal
-    state holding the 5/8 overlap; the result must be well conditioned with
-    every control outcome collecting the same overlap sum.  Raises ValueError
-    if any of that fails (which would signal a search bug).
+    state holding the overlap_target(d) overlap; the result must be well
+    conditioned with every control outcome collecting the same overlap sum.
+    Raises ValueError if any of that fails (which would signal a search bug).
     """
     strat = build_strategy(family, prep_basis=0, prep_index=0, control=basis.basis)
     breakdown = success_exact(strat)
@@ -289,27 +299,3 @@ def certify_d3_impossible(
                                evaluated=sum(t.evaluated for t in tuples),
                                grid_nodes=27 * _lattice_steps(grid_deg) ** 2)
 
-
-def single_overlap_deviation(
-    family: MubFamily,
-    indices: tuple[int, int, int],
-    which: int = 0,
-) -> float:
-    """Smallest deviation achievable for ONE overlap alone (d = 3).
-
-    Aligning both cross terms of the chosen constituent makes its squared
-    overlap hit the target exactly, so this is ~0 for every tuple; failure is
-    collective, never per-overlap.
-    """
-    comps = np.array([family.state(m + 1, j) for m, j in enumerate(indices)])
-    g = comps.conj() @ comps.T
-    n = _norm_constant(3)
-    target = overlap_target(3)
-    # phases that cancel the cross-term phases as seen from `which`
-    coeffs = np.ones(3, dtype=complex)
-    for m in range(3):
-        if m != which:
-            coeffs[m] = np.exp(-1j * np.angle(g[which, m]))
-    coeffs = coeffs / coeffs[0]  # keep the first amplitude's phase fixed
-    chi = n * (coeffs[:, None] * comps).sum(axis=0)
-    return float(abs(abs(np.vdot(comps[which], chi)) ** 2 - target))

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import bound_p
 from .cube import collapse_row_labels, make_cube_setup, vaa_overlap_table
 from .mub import construct_mub
-from .search import MeasurementBasis4, SignalState, find_measurement_bases, find_signal_states
+from .search import MeasurementBasis, SignalState, find_measurement_bases, find_signal_states
 from .serialize import family_csv_header, family_to_csv_rows, family_to_json, state_to_json, write_csv
 
 TABLE_DIMS = (2, 3, 4, 5, 8, 9)
@@ -47,7 +47,7 @@ def _signal_rows(signals: list[SignalState]) -> list[list[Any]]:
     return rows
 
 
-def _basis_rows(bases: list[MeasurementBasis4]) -> list[list[int]]:
+def _basis_rows(bases: list[MeasurementBasis]) -> list[list[int]]:
     return [[num] + [m + 1 for m in b.members] for num, b in enumerate(bases, start=1)]
 
 

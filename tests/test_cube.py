@@ -1,6 +1,8 @@
 """Cube-diagonal game: product decompositions, the entangled protocol's
 overlap table and rule, and the ancilla-free optimum."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,20 @@ def test_product_decompositions_are_exact(setup):
     defects = verify_bell_decompositions(setup)
     assert set(defects) == {0, 1, 2, 3}
     assert all(v < 1e-12 for v in defects.values())
+
+
+def test_decompositions_reject_a_nan_pair(setup):
+    nan_pair = dataclasses.replace(setup, bell=np.array([np.nan, 0, 0, 1], dtype=complex))
+    with pytest.raises(ValueError, match="decomposition defects"):
+        verify_bell_decompositions(nan_pair)
+
+
+def test_cube_setup_rejects_a_nan_vaa_defect(monkeypatch):
+    import kings.cube
+
+    monkeypatch.setattr(kings.cube, "orthonormality_defect", lambda states: float("nan"))
+    with pytest.raises(ValueError, match="VAA basis defect"):
+        make_cube_setup()
 
 
 def test_king_collapse_validates_sign(setup):

@@ -16,6 +16,7 @@ from kings.game import (
     CubeVaaStrategy,
     GameConfig,
     GameResult,
+    _check_probs,
     _lower,
     _refine,
     run,
@@ -241,6 +242,11 @@ def test_guessed_basis_always_succeeds():
     prep = d4_optimal_strategy().prep_basis
     t, w = result.per_choice[prep]
     assert w == t
+
+
+def test_probability_check_rejects_a_nan_row():
+    with pytest.raises(ValueError, match="not 1"):
+        _check_probs(np.array([[np.nan, 0.5]]))
 
 
 def test_unsupported_strategy_type():

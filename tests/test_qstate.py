@@ -27,6 +27,11 @@ def test_as_state_rejects_unnormalized():
         as_state([1.0, 1.0])
 
 
+def test_as_state_rejects_a_nan_entry():
+    with pytest.raises(ValueError, match="not normalized"):
+        as_state([np.nan, 0])
+
+
 def test_inner_shape_mismatch():
     with pytest.raises(ValueError):
         inner(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
@@ -75,6 +80,11 @@ def test_spin_up_is_pauli_eigenvector():
 def test_spin_up_rejects_non_unit():
     with pytest.raises(ValueError):
         spin_up_state(np.array([0, 0, 2.0]))
+
+
+def test_spin_up_rejects_a_nan_direction():
+    with pytest.raises(ValueError, match="unit length"):
+        spin_up_state([np.nan, 0, 1])
 
 
 def test_same_ray_ignores_global_phase():

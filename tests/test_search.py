@@ -1,21 +1,24 @@
-"""The d = 4 signal-state scan, its basis assembly, and the d = 3 certificate."""
+"""The signal-state eigenproblem, its basis assembly, and the d = 3 certificate."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from kings.bounds import overlap_target
-from kings.mub import construct_mub
+from kings.bounds import bound_p, overlap_target
+from kings.mub import OrthonormalBasis, construct_mub, selection_grams
 from kings.reference import BASIS_CATALOG, D3_WORST_MIN_DEVIATION, SIGNAL_CATALOG
 from kings.search import (
+    MeasurementBasis,
+    SignalState,
+    _norm_constant,
     certify_d3_impossible,
     certify_optimal_strategy,
     find_measurement_bases,
     find_signal_states,
     lattice_deviations,
     signal_candidate,
-    single_overlap_deviation,
 )
 
 
@@ -65,9 +68,99 @@ def test_signal_candidate_assembly(family4, signals):
         assert np.abs(rebuilt - s.vector).max() <= 1e-15
 
 
-def test_scan_requires_dim_4():
-    with pytest.raises(ValueError):
-        find_signal_states(construct_mub(3))
+def _fourth_root_scan(family, tol=1e-9):
+    """The earlier d = 4 scan, kept as a reference: every index tuple times every
+    4th-root phase triple, in one contraction with the selection Gram matrices."""
+    index_tuples, grams = selection_grams(family)
+    phase_triples = list(itertools.product((1, 1j, -1, -1j), repeat=3))
+    coeffs = np.array([(1, *phases) for phases in phase_triples])
+    amps = _norm_constant(4) * np.einsum("tmk,pk->tpm", grams, coeffs)
+    dev = np.abs(np.abs(amps) ** 2 - overlap_target(4)).max(axis=-1)
+    return [(index_tuples[t], phase_triples[p],
+             signal_candidate(family, index_tuples[t], phase_triples[p]))
+            for t, p in np.argwhere(dev < tol)]
+
+
+def test_eigenvectors_equal_the_fourth_root_scan(family4, signals):
+    want = _fourth_root_scan(family4)
+    assert len(want) == 32
+    assert [s.indices for s in signals] == [w[0] for w in want]
+    assert [repr(s.phases) for s in signals] == [repr(w[1]) for w in want]
+    assert [s.vector.tobytes() for s in signals] == [w[2].tobytes() for w in want]
+
+
+def test_tables_3_and_4_equal_the_catalogue_byte_for_byte(tmp_path, monkeypatch, family4):
+    """Signed zeros included: the catalogue's -1j prints its real part as -0.0."""
+    from kings import tables
+
+    engine = tables.write_tables(str(tmp_path / "engine"), which=(3, 4))
+    states = []
+    for row in SIGNAL_CATALOG:
+        indices = tuple(j - 1 for j in row[:4])
+        states.append(SignalState(indices=indices, phases=row[4:],
+                                  vector=signal_candidate(family4, indices, row[4:])))
+    bases = [MeasurementBasis(members=tuple(m - 1 for m in row),
+                              basis=OrthonormalBasis(None, np.array([states[m - 1].vector for m in row])))
+             for row in BASIS_CATALOG]
+    monkeypatch.setattr(tables, "find_signal_states", lambda family: states)
+    monkeypatch.setattr(tables, "find_measurement_bases", lambda signals: bases)
+    catalogue = tables.write_tables(str(tmp_path / "catalogue"), which=(3, 4))
+    names = ["table3.csv", "table3.json", "table4.csv", "table4.json"]
+    assert [os.path.basename(p) for p in engine] == [os.path.basename(p) for p in catalogue] == names
+    for ours, theirs in zip(engine, catalogue):
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
+    assert '"re": -0.0' in (tmp_path / "engine" / "table3.json").read_text()
+
+
+def test_catalogue_is_every_signal_state_of_c4(family4):
+    """A signal state is a top eigenvector of a selection whose top Gram
+    eigenvalue is 2.5.  Only the 32 catalogue selections reach it, each with a
+    simple top eigenvalue, so their top eigenvectors are the only signal
+    states in C^4, up to a global phase."""
+    index_tuples, grams = selection_grams(family4)
+    eig = np.linalg.eigvalsh(grams)
+    catalogue = {row[:4] for row in SIGNAL_CATALOG}
+    inside = np.array([tuple(j + 1 for j in t) in catalogue for t in index_tuples])
+    assert inside.sum() == 32
+    assert eig[~inside, -1].max() <= 2.3547
+    assert np.abs(eig[inside, -1] - 2.5).max() < 1e-12
+    assert (eig[inside, -1] - eig[inside, -2]).min() >= 1.9
+
+
+@pytest.mark.parametrize("d, gap", [(3, 0.017542), (5, 0.117377)])
+def test_no_signal_states_below_the_ceiling(d, gap):
+    """No selection's top eigenvalue reaches d * overlap_target(d), so no vector
+    of C^d has the target overlap with one state of every covered basis."""
+    family = construct_mub(d)
+    assert find_signal_states(family) == []
+    assert find_measurement_bases([]) == []
+    _, grams = selection_grams(family)
+    top = np.linalg.eigvalsh(grams)[:, -1].max()
+    assert d * overlap_target(d) - top == pytest.approx(gap, abs=5e-7)
+
+
+def test_d2_every_basis_gives_the_optimal_strategy():
+    family = construct_mub(2)
+    signals = find_signal_states(family)
+    bases = find_measurement_bases(signals)
+    assert (len(signals), len(bases)) == (4, 2)
+    for b in bases:
+        _, breakdown = certify_optimal_strategy(family, b)
+        assert breakdown.total == pytest.approx(bound_p(2), abs=1e-12)
+
+
+def test_selections_past_5_to_the_5_are_refused_before_any_array(monkeypatch):
+    family = construct_mub(7)
+
+    def enumerate_selections(*args, **kwargs):
+        raise AssertionError("the d = 7 selections were enumerated")
+
+    monkeypatch.setattr(itertools, "product", enumerate_selections)
+    with pytest.raises(ValueError, match="823543 selections"):
+        find_signal_states(family)
+    with pytest.raises(ValueError, match="823543 selections"):
+        lattice_deviations(family, grid_deg=90.0)
 
 
 # --- d = 4 off the 4th-root lattice --------------------------------------------
@@ -151,8 +244,7 @@ def test_every_basis_gives_the_optimal_strategy(family4, bases):
 
 
 def test_certify_rejects_non_saturating_basis(family4):
-    from kings.search import MeasurementBasis4
-    fake = MeasurementBasis4(members=(0, 1, 2, 3), basis=family4.bases[1])
+    fake = MeasurementBasis(members=(0, 1, 2, 3), basis=family4.bases[1])
     with pytest.raises(ValueError):
         certify_optimal_strategy(family4, fake)
 
@@ -267,15 +359,6 @@ def test_d3_worst_matches_frozen_value(d3_report):
     assert d3_report.worst == pytest.approx(D3_WORST_MIN_DEVIATION, abs=1e-9)
     # the easiest and hardest tuples span a narrow, stable band
     assert 0.09 < max(t.deviation for t in d3_report.tuples) < 0.10
-
-
-def test_d3_single_overlap_always_alignable():
-    """Failure is collective: any one overlap alone can be made exact."""
-    family = construct_mub(3)
-    import itertools
-    for indices in itertools.product(range(3), repeat=3):
-        for which in range(3):
-            assert single_overlap_deviation(family, indices, which) < 1e-12
 
 
 def test_d3_certificate_requires_dim_3():
