@@ -5,13 +5,14 @@ measurement, prediction) for a conventional MUB strategy, the VAA cube
 protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
 once to a GameTables record (outcome distributions plus a prediction table in
 index space), and one sampling loop serves every kind.  Trials are drawn in
-chunks of CHUNK from a single numpy PCG64 generator: per chunk the king's
-choices, then the king's uniforms, then the control uniforms.  The choices
-are the index two inverse-CDF passes refine in place, BLOCK trials at a time
-so every temporary stays in cache; one bincount of it counts each (choice,
-king outcome, control outcome) cell, and a boolean win table weights the
-cells into wins.  Memory is O(CHUNK), about 16 B per trial, a seed pins the
-result bit for bit, and a run within one chunk reads the stream as one draw.
+chunks of CHUNK from one numpy PCG64 stream: per chunk the king's choices,
+then the king's uniforms, then the control uniforms.  Two inverse-CDF steps
+refine the choices in place into one cell index BLOCK trials at a time, and
+two generators on the one stream read the king's and the control uniforms
+block by block; one bincount counts each (choice, king outcome, control
+outcome) cell, and a boolean win table weights the cells into wins.  Memory
+is O(CHUNK), about 8 B per trial, a seed pins the result bit for bit, and a
+run within one chunk reads the stream as one draw.
 """
 
 from __future__ import annotations
@@ -168,16 +169,36 @@ def _lower(strategy: Strategy) -> GameTables:
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
-def _refine(index: np.ndarray, u: np.ndarray, prob_rows: np.ndarray) -> None:
-    """Inverse-CDF sample in place, index <- index * n + outcome: the count of
-    the first n - 1 CDF columns of row `index` below u, found by stepping along
+def _refine(i: np.ndarray, u: np.ndarray, cdf: np.ndarray) -> None:
+    """Inverse-CDF step on one block in place, i <- i * n + outcome: the count
+    of the first n - 1 columns of CDF row `i` below u, found by stepping along
     the flat CDF while u lies above it, as a CDF is monotone."""
-    n, cdf = prob_rows.shape[1], np.cumsum(prob_rows, axis=-1).ravel()
+    n, flat = cdf.shape[1], cdf.ravel()
+    i *= n
+    for _ in range(n - 1):
+        i += u > flat.take(i)
+
+
+def _refine_blocks(index: np.ndarray, rng: np.random.Generator, first: np.ndarray,
+                   control: np.ndarray) -> None:
+    """Both refine steps over a chunk, BLOCK trials at a time.  rng yields the
+    king's uniforms, and a second PCG64, set to its state and advanced past
+    them, the control's: the same stream as two whole draws.  rng then takes
+    that generator's position but keeps its buffered 32-bit half-word, which
+    advance() drops, random() never reads and the next integers() does."""
+    bits = rng.bit_generator
+    state = bits.state
+    ahead = np.random.PCG64()
+    ahead.state = state
+    ahead.advance(len(index))
+    ahead_rng = np.random.Generator(ahead)
+    u, v = np.empty(BLOCK), np.empty(BLOCK)
     for start in range(0, len(index), BLOCK):
-        i, v = index[start:start + BLOCK], u[start:start + BLOCK]
-        i *= n
-        for _ in range(n - 1):
-            i += v > cdf.take(i)
+        i = index[start:start + BLOCK]
+        _refine(i, rng.random(out=u[:len(i)]), first)  # c * n_out + o
+        _refine(i, ahead_rng.random(out=v[:len(i)]), control)  # (c * n_out + o) * n_k + k
+    state["state"] = ahead.state["state"]
+    bits.state = state
 
 
 def run(config: GameConfig) -> GameResult:
@@ -187,14 +208,19 @@ def run(config: GameConfig) -> GameResult:
         raise ValueError(f"trials must be a positive integer, got {config.trials!r}")
     tables = _lower(config.strategy)
     n_choices, n_out = tables.first.shape
+    first, control = np.cumsum(tables.first, axis=-1), np.cumsum(tables.control, axis=-1)
     counts = np.zeros(tables.control.size, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     for start in range(0, trials, CHUNK):
         size = min(CHUNK, trials - start)
         index = rng.integers(0, n_choices, size=size)
-        _refine(index, rng.random(size), tables.first)  # c * n_out + o
-        _refine(index, rng.random(size), tables.control)  # (c * n_out + o) * n_k + k
+        if size <= BLOCK:
+            _refine(index, rng.random(size), first)
+            _refine(index, rng.random(size), control)
+        else:
+            _refine_blocks(index, rng, first, control)
         counts += np.bincount(index, minlength=counts.size)
+        del index  # free the chunk before the next one is drawn
     # win[c, o * n_k + k]: control outcome k calls king outcome o for choice c
     win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).reshape(n_choices, -1)
     played = counts.reshape(n_choices, -1)
