@@ -383,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_cube_conventional)
 
     p = sub.add_parser("simulate", parents=[out], help="Monte Carlo referee")
-    p.add_argument("--mode", type=str, required=True, choices=tuple(_SIM_MODES),
-                   help="preset strategy: the d = 4 or d = 2 optimum, or the VAA or "
-                        "ancilla-free cube protocol")
+    p.add_argument("--mode", type=str, required=True, choices=tuple(_SIM_MODES))
     p.add_argument("--trials", type=int, default=100_000,
                    help="rounds to play; memory stays O(CHUNK), one 2^20-trial chunk at about "
                         "8 B a trial, whatever the count")

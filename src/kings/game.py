@@ -6,13 +6,13 @@ protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
 once to a GameTables record (outcome distributions plus a prediction table in
 index space), and one sampling loop serves every kind.  Trials are drawn in
 chunks of CHUNK from one numpy PCG64 stream: per chunk the king's choices,
-then the king's uniforms, then the control uniforms.  Two inverse-CDF steps
-refine the choices in place into one cell index BLOCK trials at a time, and
-two generators on the one stream read the king's and the control uniforms
-block by block; one bincount counts each (choice, king outcome, control
-outcome) cell, and a boolean win table weights the cells into wins.  Memory
-is O(CHUNK), about 8 B per trial, a seed pins the result bit for bit, and a
-run within one chunk reads the stream as one draw.
+then the king's uniforms, then the control uniforms.  Two inverse-CDF passes
+refine the choices in place into one cell index BLOCK trials at a time, each
+block's uniforms drawn into one BLOCK buffer, so the stream is read in the
+same order as whole draws; one bincount counts each (choice, king outcome,
+control outcome) cell, and a boolean win table weights the cells into wins.
+Memory is O(CHUNK), about 8 B per trial, a seed pins the result bit for bit,
+and a run within one chunk reads the stream as one draw.
 """
 
 from __future__ import annotations
@@ -179,28 +179,6 @@ def _refine(i: np.ndarray, u: np.ndarray, cdf: np.ndarray) -> None:
         i += u > flat.take(i)
 
 
-def _refine_blocks(index: np.ndarray, rng: np.random.Generator, first: np.ndarray,
-                   control: np.ndarray) -> None:
-    """Both refine steps over a chunk, BLOCK trials at a time.  rng yields the
-    king's uniforms, and a second PCG64, set to its state and advanced past
-    them, the control's: the same stream as two whole draws.  rng then takes
-    that generator's position but keeps its buffered 32-bit half-word, which
-    advance() drops, random() never reads and the next integers() does."""
-    bits = rng.bit_generator
-    state = bits.state
-    ahead = np.random.PCG64()
-    ahead.state = state
-    ahead.advance(len(index))
-    ahead_rng = np.random.Generator(ahead)
-    u, v = np.empty(BLOCK), np.empty(BLOCK)
-    for start in range(0, len(index), BLOCK):
-        i = index[start:start + BLOCK]
-        _refine(i, rng.random(out=u[:len(i)]), first)  # c * n_out + o
-        _refine(i, ahead_rng.random(out=v[:len(i)]), control)  # (c * n_out + o) * n_k + k
-    state["state"] = ahead.state["state"]
-    bits.state = state
-
-
 def run(config: GameConfig) -> GameResult:
     """Simulate config.trials rounds; deterministic for a given seed."""
     trials = operator.index(config.trials) if hasattr(config.trials, "__index__") else 0
@@ -211,16 +189,16 @@ def run(config: GameConfig) -> GameResult:
     first, control = np.cumsum(tables.first, axis=-1), np.cumsum(tables.control, axis=-1)
     counts = np.zeros(tables.control.size, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
+    u = np.empty(min(BLOCK, trials))
     for start in range(0, trials, CHUNK):
         size = min(CHUNK, trials - start)
         index = rng.integers(0, n_choices, size=size)
-        if size <= BLOCK:
-            _refine(index, rng.random(size), first)
-            _refine(index, rng.random(size), control)
-        else:
-            _refine_blocks(index, rng, first, control)
+        for cdf in (first, control):  # c * n_out + o, then (c * n_out + o) * n_k + k
+            for b in range(0, size, BLOCK):
+                i = index[b:b + BLOCK]
+                _refine(i, rng.random(out=u[:len(i)]), cdf)
         counts += np.bincount(index, minlength=counts.size)
-        del index  # free the chunk before the next one is drawn
+        del index, i  # free the chunk and its last block view before the next draw
     # win[c, o * n_k + k]: control outcome k calls king outcome o for choice c
     win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).reshape(n_choices, -1)
     played = counts.reshape(n_choices, -1)

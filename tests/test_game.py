@@ -174,9 +174,10 @@ def test_largest_count_table_equals_reference_sampler(trials):
     assert run(config) == _reference_run(config)
 
 
-def test_odd_chunks_carry_the_buffered_half_word(monkeypatch):
-    """An odd chunk of choices leaves half of a 64-bit draw buffered after
-    every other chunk; the blocked split must hand it to the next chunk."""
+def test_odd_chunks_and_partial_blocks_read_the_reference_stream(monkeypatch):
+    """With CHUNK = 63 and BLOCK = 8 every chunk ends in a partial block and
+    every other chunk of choices leaves half of a 64-bit draw buffered; the
+    blocked draws must still read the stream as two whole draws a chunk."""
     monkeypatch.setattr(game, "CHUNK", 63)
     monkeypatch.setattr(game, "BLOCK", 8)
     rng = np.random.default_rng(77)
