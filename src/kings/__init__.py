@@ -57,14 +57,7 @@ from .mub import (
     orthonormality_defect,
     two_qubit_observable_pairs,
 )
-from .qstate import (
-    as_state,
-    born_probability,
-    inner,
-    same_ray,
-    spin_up_state,
-    tensor,
-)
+from .qstate import spin_up_state, tensor
 from .search import (
     ImpossibilityReport,
     MeasurementBasis,
@@ -113,7 +106,7 @@ __all__ = [
     "CertificationReport", "MubFamily", "OrthonormalBasis", "certify_family",
     "construct_mub", "is_prime", "orthonormality_defect", "two_qubit_observable_pairs",
     # qstate
-    "as_state", "born_probability", "inner", "same_ray", "spin_up_state", "tensor",
+    "spin_up_state", "tensor",
     # search
     "ImpossibilityReport", "MeasurementBasis", "SignalState", "TupleDeviation",
     "certify_d3_impossible", "certify_optimal_strategy", "find_measurement_bases",

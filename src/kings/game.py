@@ -206,6 +206,6 @@ def run(config: GameConfig) -> GameResult:
     successes = int(won.sum())
     estimate = successes / trials
     stderr = float(np.sqrt(max(estimate * (1 - estimate), 1e-300) / trials))
-    per_choice = {c: (int(p), int(w)) for c, (p, w) in enumerate(zip(played.sum(axis=1), won))}
+    per_choice = dict(enumerate(zip(played.sum(axis=1).tolist(), won.tolist())))
     return GameResult(mode=tables.mode, trials=trials, successes=successes, estimate=estimate,
                       stderr=stderr, per_choice=per_choice, seed=config.seed)

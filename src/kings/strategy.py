@@ -12,6 +12,8 @@ per basis.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,32 +72,84 @@ class AssignmentMap:
             raise ValueError(f"assignment is not a bijection on basis {broken[0]}")
 
 
-def assign_greedy(family: MubFamily, prep_basis: int, control: OrthonormalBasis) -> AssignmentMap:
-    """Assign each covered basis state to its best-overlap control outcome.
-
-    Ties break toward the lowest outcome index.  The result need not be
-    bijective; feed it to repair_well_conditioned.
-    """
-    forward = overlap_matrix(family, control).argmax(axis=2)
+def _assign_greedy(overlaps: np.ndarray, prep_basis: int) -> AssignmentMap:
+    forward = overlaps.argmax(axis=2)
     # a mask, not forward[prep_basis]: an out-of-range basis must reach the
     # strategy's own check instead of raising here or wrapping around
     forward[np.arange(len(forward)) == prep_basis] = -1
     return AssignmentMap(forward)
 
 
+def assign_greedy(family: MubFamily, prep_basis: int, control: OrthonormalBasis) -> AssignmentMap:
+    """Assign each covered basis state to its best-overlap control outcome.
+
+    Ties break toward the lowest outcome index.  The result need not be
+    bijective; feed it to repair_well_conditioned.
+    """
+    return _assign_greedy(overlap_matrix(family, control), prep_basis)
+
+
+def _max_assignment(rows: list[list[float]]) -> list[int]:
+    """cols[j]: the column of row j in a bijection maximizing the summed entries.
+
+    A port of the shortest augmenting path solver that scipy's
+    linear_sum_assignment runs (D. F. Crouse, IEEE TAES 52(4), 2016), for a
+    square matrix and costs -rows.  It scans the unvisited columns in scipy's
+    order and sends a tie to an unassigned column, so it returns scipy's
+    bijection, ties included.
+    """
+    n = len(rows)
+    u, v = [0.0] * n, [0.0] * n  # dual variables of the rows and the columns
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        cost = [math.inf] * n  # shortest path cost to each column
+        remaining, visited = list(range(n - 1, -1, -1)), []
+        i, low = cur, 0.0
+        while True:  # grow the shortest path tree until it reaches a free column
+            row, ui, low_next = rows[i], u[i], math.inf
+            for j in remaining:
+                c = low - row[j] - ui - v[j]  # scipy's order of operations
+                if c < cost[j]:
+                    path[j], cost[j] = i, c
+                else:
+                    c = cost[j]
+                if c < low_next or c == low_next and row4col[j] < 0:
+                    low_next, best = c, j
+            if low_next == math.inf:  # NaN overlaps: no finite path
+                raise ValueError("overlaps must be finite")
+            low, j = low_next, best
+            remaining[remaining.index(j)] = remaining[-1]
+            remaining.pop()
+            visited.append(j)
+            i = row4col[j]
+            if i < 0:
+                break
+        u[cur] += low
+        for k in visited:  # each visited column but the last is matched to a visited row
+            v[k] -= low - cost[k]
+            if row4col[k] >= 0:
+                u[row4col[k]] += low - cost[k]
+        while True:  # augment along the path back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> AssignmentMap:
     """Make the map bijective per basis without losing overlap mass.
 
     Bases where `raw` is already bijective are kept as-is (a bijective greedy
-    map is automatically the best bijection).  Elsewhere the Hungarian
-    algorithm finds the bijection maximizing the summed overlap, for every d.
+    map is automatically the best bijection).  Elsewhere a shortest augmenting
+    path solver finds the bijection maximizing the summed overlap, for every
+    d, and breaks ties exactly as scipy's linear_sum_assignment does.
     `overlaps` is the (d+1, d, d) tensor from overlap_matrix.
     """
     forward = raw.forward.copy()
     for i in raw._broken():
-        from scipy.optimize import linear_sum_assignment  # scipy loads only for a repair
-        rows, cols = linear_sum_assignment(overlaps[i], maximize=True)  # [j, k]
-        forward[i, rows] = cols
+        forward[i] = _max_assignment(overlaps[i].tolist())  # [j] -> k
     return AssignmentMap(forward)
 
 
@@ -137,8 +191,8 @@ def build_strategy(
     control: OrthonormalBasis,
 ) -> ConventionalStrategy:
     """Greedy assignment, repaired to a bijection, wrapped as a strategy."""
-    raw = assign_greedy(family, prep_basis, control)
-    repaired = repair_well_conditioned(raw, overlap_matrix(family, control))
+    overlaps = overlap_matrix(family, control)
+    repaired = repair_well_conditioned(_assign_greedy(overlaps, prep_basis), overlaps)
     return ConventionalStrategy(
         family=family,
         prep_basis=prep_basis,
@@ -269,14 +323,7 @@ def complement_strategy(
     if isinstance(strategy, GeneralStrategy):
         if strategy.source is None:
             raise ValueError("cannot exchange roles without the source strategy")
-        src = strategy.source
-        return ConventionalStrategy(
-            family=src.family,
-            prep_basis=src.prep_basis,
-            prep_index=src.prep_index,
-            control=src.control,
-            assignment=src.assignment,
-        )
+        return copy.copy(strategy.source)  # checked when it was built
     prep = strategy.prep_basis
     d = strategy.family.dim
     guess_bases = frozenset(set(strategy.family.labels) - {prep})

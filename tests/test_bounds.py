@@ -124,6 +124,14 @@ def test_relaxed_max_d3_falls_short():
     assert ceiling - result.value < 0.018
 
 
+def test_relaxed_max_d3_closed_form():
+    # the d = 3 Gram matrices have off-diagonal moduli 1/sqrt(3); the best
+    # Bargmann phase, pi/6, puts the top eigenvalue at 1 + (2/sqrt(3)) cos(pi/18)
+    closed = 1 + 2 / np.sqrt(3) * np.cos(np.pi / 18)
+    assert abs(relaxed_f_max(construct_mub(3)).value - closed) <= 1e-12
+    assert abs(D3_RELAXED_MAX - closed) <= 1e-9
+
+
 def test_relaxed_max_never_exceeds_ceiling():
     for d in (2, 3, 5):
         family = construct_mub(d)

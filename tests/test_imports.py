@@ -1,4 +1,4 @@
-"""The paper-reproduction path runs on numpy alone: scipy stays unimported."""
+"""Every kings path runs on numpy alone: scipy stays unimported."""
 
 import subprocess
 import sys
@@ -37,4 +37,30 @@ def test_reproduce_path_never_imports_scipy():
     src = str(Path(kings.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
                            + REPRODUCE], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+REPAIR = """
+import sys
+import numpy as np
+from kings import mub, strategy, verify
+
+repaired = 0
+for d in (3, 4, 5, 7, 11):
+    family = mub.construct_mub(d)
+    for seed in range(5):
+        for prep in (0, d):
+            strategy.random_strategy(family, prep, np.random.default_rng(seed))
+            control = strategy.random_control_basis(d, np.random.default_rng(seed))
+            repaired += not strategy.assign_greedy(family, prep, control).is_well_conditioned()
+assert repaired > 0, "no strategy needed a repair"
+assert verify.criterion_property_battery().passed
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_repair_paths_never_import_scipy():
+    src = str(Path(kings.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                           + REPAIR], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

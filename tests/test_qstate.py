@@ -1,54 +1,12 @@
-"""State-vector helpers: validation, Born rule, spin states, JSON codecs."""
+"""State-vector helpers: tensor products, spin states, JSON codecs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kings.qstate import (
-    as_state,
-    born_probability,
-    inner,
-    same_ray,
-    spin_up_state,
-    tensor,
-)
+from kings.qstate import spin_up_state, tensor
 from kings.serialize import complex_from_json, complex_to_json, state_from_json, state_to_json
-
-
-def test_as_state_accepts_unit_vectors():
-    v = as_state([1 / np.sqrt(2), 1j / np.sqrt(2)])
-    assert v.dtype == complex
-    assert abs(np.linalg.norm(v) - 1) < 1e-12
-
-
-def test_as_state_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        as_state([1.0, 1.0])
-
-
-def test_as_state_rejects_a_nan_entry():
-    with pytest.raises(ValueError, match="not normalized"):
-        as_state([np.nan, 0])
-
-
-def test_inner_shape_mismatch():
-    with pytest.raises(ValueError):
-        inner(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-
-def test_inner_conjugates_first_argument():
-    a = np.array([1.0, 0.0], dtype=complex)
-    b = np.array([0.0, 1j], dtype=complex)
-    assert inner(b, b) == pytest.approx(1.0)
-    # <i*e1 | e1> = -i * 0 + conj(i)*... : sanity on a non-real pair
-    assert inner(np.array([0, 1j]), np.array([0, 1])) == pytest.approx(-1j)
-
-
-def test_born_probability_on_basis():
-    state = np.array([0.6, 0.8], dtype=complex)
-    assert born_probability(state, np.array([1, 0], dtype=complex)) == pytest.approx(0.36)
-    assert born_probability(state, np.array([0, 1], dtype=complex)) == pytest.approx(0.64)
 
 
 def test_tensor_matches_kron():
@@ -87,12 +45,6 @@ def test_spin_up_rejects_a_nan_direction():
         spin_up_state([np.nan, 0, 1])
 
 
-def test_same_ray_ignores_global_phase():
-    v = np.array([0.6, 0.8j])
-    assert same_ray(v, np.exp(1j * 0.7) * v)
-    assert not same_ray(v, np.array([0.8, 0.6j]))
-
-
 def test_complex_json_schema():
     assert complex_to_json(1.5 - 2j) == {"re": 1.5, "im": -2.0}
     assert complex_from_json({"re": 1.5, "im": -2.0}) == 1.5 - 2j
@@ -119,5 +71,5 @@ def test_born_probabilities_sum_to_one(seed):
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(g)
     state = q[:, 0]
-    total = sum(born_probability(state, q[:, k]) for k in range(3))
+    total = sum(abs(np.vdot(q[:, k], state)) ** 2 for k in range(3))
     assert total == pytest.approx(1.0, abs=1e-12)
