@@ -190,16 +190,16 @@ def test_array_assignment_equals_reference_dicts():
     assert checked == 12 * 3 + 12 * 4 + 12 * 5 + 6 * 6 + 3 * 8 + 2 * 12 + 32 * 5  # draws x labels
 
 
-def test_max_assignment_equals_scipy():
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11, 13])
+def test_max_assignment_equals_scipy(d):
     from scipy.optimize import linear_sum_assignment
-    for d in (2, 3, 4, 5, 7, 11, 13):
-        rng = np.random.default_rng(20261000 + d)
-        # uniform entries, then entries in {0, 1/4, 1/2} for ties, then all equal
-        matrices = [rng.random((d, d)) for _ in range(40)]
-        matrices += [rng.integers(0, 3, size=(d, d)) / 4 for _ in range(40)]
-        matrices.append(np.full((d, d), 1 / d))
-        for m in matrices:
-            assert _max_assignment(m.tolist()) == linear_sum_assignment(m, maximize=True)[1].tolist()
+    rng = np.random.default_rng(20261000 + d)
+    # uniform entries, then entries in {0, 1/4, 1/2} for ties, then all equal
+    matrices = [rng.random((d, d)) for _ in range(40)]
+    matrices += [rng.integers(0, 3, size=(d, d)) / 4 for _ in range(40)]
+    matrices.append(np.full((d, d), 1 / d))
+    for m in matrices:
+        assert _max_assignment(m.tolist()) == linear_sum_assignment(m, maximize=True)[1].tolist()
 
 
 def test_max_assignment_rejects_nan_overlaps():
