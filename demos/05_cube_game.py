@@ -40,11 +40,11 @@ def main() -> None:
     pred = vaa_prediction_table(setup)
     print("\nprediction rule (sign guessed for diagonal a on outcome chi_k):")
     for k in range(4):
-        signs = "  ".join(f"{pred.table[k, a]:+d}" for a in range(4))
+        signs = "  ".join(f"{pred[k, a]:+d}" for a in range(4))
         print(f"  chi{k+1}:  {signs}")
     print(f"\nentangled-pair success: {vaa_success_exact(setup):.6f}")
 
-    best = conventional_cube_optimize(setup, grid_deg=0.5)
+    best = conventional_cube_optimize(setup)
     print(f"\nancilla-free optimum: {best.value:.9f}")
     print(f"  control direction: {np.round(best.direction, 6)}")
     print(f"  angle to diagonal 1: {best.angle_to_first_diagonal_deg:.3f} deg")

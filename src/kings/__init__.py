@@ -26,7 +26,6 @@ from .config import DEFAULT, Tolerances
 from .cube import (
     CubeConventionalResult,
     CubeGameSetup,
-    PredictionTable,
     collapse_row_labels,
     conventional_baseline,
     conventional_cube_optimize,
@@ -95,7 +94,7 @@ __all__ = [
     # config
     "DEFAULT", "Tolerances",
     # cube
-    "CubeConventionalResult", "CubeGameSetup", "PredictionTable",
+    "CubeConventionalResult", "CubeGameSetup",
     "collapse_row_labels", "conventional_baseline", "conventional_cube_optimize",
     "conventional_cube_rule", "conventional_cube_value", "king_collapse",
     "make_cube_setup", "vaa_overlap_table", "vaa_prediction_table",

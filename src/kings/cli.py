@@ -264,8 +264,8 @@ def cmd_cube_vaa(args: argparse.Namespace) -> int:
 
 def cmd_cube_conventional(args: argparse.Namespace) -> int:
     setup = make_cube_setup()
-    result = conventional_cube_optimize(setup, grid_deg=args.grid_deg)
-    manifest = make_manifest("cube conventional", {"grid_deg": args.grid_deg})
+    result = conventional_cube_optimize(setup)
+    manifest = make_manifest("cube conventional", {})
     obj = {
         "value": result.value,
         "direction": [float(x) for x in result.direction],
@@ -274,7 +274,7 @@ def cmd_cube_conventional(args: argparse.Namespace) -> int:
         "co_optima": [[float(x) for x in m] for m in result.co_optima],
         "great_circle_partner": None if result.great_circle is None else result.great_circle + 1,
         "baseline": conventional_baseline(setup),
-        "grid_best": result.grid_best,
+        "upper_bound": result.upper_bound,
     }
     _print_json(obj, args.out, manifest)
     return 0
@@ -379,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--outdir", type=str, default=None)
     v.set_defaults(func=cmd_cube_vaa)
     c = cube_sub.add_parser("conventional", parents=[out], help="ancilla-free optimum")
-    c.add_argument("--grid-deg", type=float, default=0.25)
     c.set_defaults(func=cmd_cube_conventional)
 
     p = sub.add_parser("simulate", parents=[out], help="Monte Carlo referee")

@@ -8,7 +8,8 @@ measurement basis (the VAA basis) retrodicts the king's sign with probability
 (2 + sqrt(3)) / 4.  The best ancilla-free protocol instead prepares spin-up
 along the first diagonal and measures along one control direction.  Its
 optimum is exact: the best direction is the longest signed sum of the other
-three diagonals, which reaches (15 + sqrt(33)) / 24 on three degenerate axes.
+three diagonals, which reaches (15 + sqrt(33)) / 24 on three degenerate axes,
+and a Cauchy-Schwarz bound that the optimum meets certifies it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class CubeGameSetup:
     diagonals: np.ndarray
     bell: np.ndarray
     vaa: OrthonormalBasis
-    reflection_partner: dict[int, int]
 
 
 def make_cube_setup() -> CubeGameSetup:
@@ -57,10 +57,7 @@ def make_cube_setup() -> CubeGameSetup:
     defect = orthonormality_defect(vaa.states)
     if not defect <= DEFAULT.construction:
         raise ValueError(f"VAA basis defect {defect:g}")
-    return CubeGameSetup(
-        diagonals=diagonals, bell=bell, vaa=vaa,
-        reflection_partner=dict(REFLECTION_PARTNER),
-    )
+    return CubeGameSetup(diagonals=diagonals, bell=bell, vaa=vaa)
 
 
 def king_collapse(setup: CubeGameSetup, diagonal: int, sign: int) -> np.ndarray:
@@ -71,7 +68,7 @@ def king_collapse(setup: CubeGameSetup, diagonal: int, sign: int) -> np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    partner = setup.reflection_partner[diagonal]
+    partner = REFLECTION_PARTNER[diagonal]
     return tensor(
         spin_up_state(sign * setup.diagonals[diagonal]),
         spin_up_state(sign * setup.diagonals[partner]),
@@ -119,38 +116,26 @@ def vaa_overlap_table(setup: CubeGameSetup) -> np.ndarray:
     return np.abs(rows.conj() @ setup.vaa.states.T) ** 2
 
 
-@dataclass
-class PredictionTable:
-    """Sign predicted for each (VAA outcome, diagonal) pair.
+def _calls(t: np.ndarray) -> np.ndarray:
+    """calls[a, k]: the sign whose row of diagonal a weighs more on outcome k (+1 on a tie)."""
+    return np.where(t[0::2] >= t[1::2], 1, -1)
+
+
+def vaa_prediction_table(setup: CubeGameSetup) -> np.ndarray:
+    """Majority-likelihood prediction rule read off the overlap table.
 
     table[k, a] is +1 or -1: the likelier king outcome along diagonal a
     given VAA outcome k.
     """
-
-    table: np.ndarray
-
-    def predict(self, outcome: int, diagonal: int) -> int:
-        return int(self.table[outcome, diagonal])
-
-
-def vaa_prediction_table(setup: CubeGameSetup) -> PredictionTable:
-    """Majority-likelihood prediction rule read off the overlap table."""
-    t = vaa_overlap_table(setup)
-    table = np.empty((4, 4), dtype=int)
-    for k in range(4):
-        for a in range(4):
-            table[k, a] = 1 if t[2 * a, k] >= t[2 * a + 1, k] else -1
-    return PredictionTable(table=table)
+    return _calls(vaa_overlap_table(setup)).T
 
 
 def wrong_prediction_mass(setup: CubeGameSetup) -> np.ndarray:
     """Per collapsed state, the Born mass landing on wrong-prediction outcomes."""
     t = vaa_overlap_table(setup)
-    pred = vaa_prediction_table(setup).table
-    out = np.empty(8)
-    for r, (a, s) in enumerate(_ROW_ORDER):
-        out[r] = sum(t[r, k] for k in range(4) if pred[k, a] != s)
-    return out
+    signs = np.array([s for _, s in _ROW_ORDER])
+    wrong = np.repeat(_calls(t), 2, axis=0) != signs[:, None]
+    return np.where(wrong, t, 0.0).sum(axis=1)
 
 
 def vaa_success_exact(setup: CubeGameSetup) -> float:
@@ -194,7 +179,11 @@ def conventional_baseline(setup: CubeGameSetup) -> float:
 
 @dataclass
 class CubeConventionalResult:
-    """Optimized ancilla-free protocol for the cube game."""
+    """Optimal ancilla-free protocol for the cube game.
+
+    upper_bound caps the value of every unit direction; value == upper_bound
+    certifies that the returned direction is optimal.
+    """
 
     direction: np.ndarray
     rule: dict[int, int]
@@ -202,7 +191,7 @@ class CubeConventionalResult:
     angle_to_first_diagonal_deg: float
     co_optima: list[np.ndarray]
     great_circle: int | None
-    grid_best: float
+    upper_bound: float
 
 
 def _great_circle_tag(setup: CubeGameSetup, m: np.ndarray, *, atol: float = 1e-6) -> int | None:
@@ -218,40 +207,28 @@ def _great_circle_tag(setup: CubeGameSetup, m: np.ndarray, *, atol: float = 1e-6
 def conventional_cube_optimize(
     setup: CubeGameSetup,
     *,
-    grid_deg: float = 0.25,
+    grid_deg: float | None = None,
 ) -> CubeConventionalResult:
-    """Exact ancilla-free optimum, cross-checked against a direction grid.
+    """Exact ancilla-free optimum with its closed-form certificate.
 
-    The value of a control direction m grows with sum_a |m . n_a| over the
-    three non-preparation diagonals, and sum_a |m . n_a| = max_s m . v_s with
-    v_s = sum_a s_a n_a over sign vectors s.  The best unit m is therefore
-    v_s / |v_s| for the sign vectors maximising |v_s|.  s and -s give the
-    same axis, so s_1 = +1 leaves four candidates; three tie, one axis per
-    great circle through the preparation diagonal.  The co-optima are listed
-    in the order of their sign vectors (+1, s_2, s_3), enumerated with -1
-    before +1, each as its obtuse-angle representative; the first is the
-    returned direction.  grid_best is the best value on a polar-azimuthal
-    grid at `grid_deg` resolution and never exceeds the exact value.
+    The value of a control direction m is 1/4 + (3 + sum_a |m . n_a|) / 8
+    over the three non-preparation diagonals, and sum_a |m . n_a| =
+    max_s m . v_s with v_s = sum_a s_a n_a over sign vectors s.  The best
+    unit m is therefore v_s / |v_s| for the sign vectors maximising |v_s|.
+    s and -s give the same axis, so s_1 = +1 leaves four candidates; three
+    tie, one axis per great circle through the preparation diagonal.  The
+    co-optima are listed in the order of their sign vectors (+1, s_2, s_3),
+    enumerated with -1 before +1, each as its obtuse-angle representative;
+    the first is the returned direction.  By Cauchy-Schwarz m . v_s <= |v_s|,
+    so no unit direction exceeds upper_bound = 1/4 + (3 + max_s |v_s|) / 8.
+    grid_deg is accepted, unchecked and unused: the optimum needs no grid.
     """
-    if not 0 < grid_deg < np.inf:
-        raise ValueError(f"grid_deg must be a positive number of degrees, got {grid_deg}")
     signs = np.array([(1, s2, s3) for s2, s3 in itertools.product((-1, 1), repeat=2)])
     sums = signs @ setup.diagonals[1:]
     norms = np.linalg.norm(sums, axis=1)
     axes = [v / nv for v, nv in zip(sums, norms) if nv > norms.max() - 1e-12]
     co = [-m if float(m @ setup.diagonals[0]) > 0 else m for m in axes]
     best = co[0]
-
-    # on the grid, m . n = sin(theta) (n_x cos(phi) + n_y sin(phi)) + cos(theta) n_z
-    thetas = np.radians(np.arange(0.0, 180.0 + grid_deg / 2, grid_deg))
-    phis = np.radians(np.arange(0.0, 360.0, grid_deg))
-    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    total = sum(np.abs(st * (n[0] * np.cos(phis) + n[1] * np.sin(phis)) + ct * n[2])
-                for n in setup.diagonals[1:])
-    i, j = np.unravel_index(int(np.argmax(total)), total.shape)
-    grid_best = conventional_cube_value(
-        setup, [st[i, 0] * np.cos(phis[j]), st[i, 0] * np.sin(phis[j]), ct[i, 0]])
-
     angle = float(np.degrees(np.arccos(np.clip(best @ setup.diagonals[0], -1, 1))))
     return CubeConventionalResult(
         direction=best,
@@ -260,5 +237,5 @@ def conventional_cube_optimize(
         angle_to_first_diagonal_deg=angle,
         co_optima=co,
         great_circle=_great_circle_tag(setup, best),
-        grid_best=grid_best,
+        upper_bound=0.25 + (3.0 + float(norms.max())) / 8,
     )

@@ -25,7 +25,6 @@ import numpy as np
 from .config import DEFAULT
 from .cube import (
     CubeGameSetup,
-    PredictionTable,
     conventional_cube_rule,
     king_collapse,
     vaa_overlap_table,
@@ -44,7 +43,7 @@ class CubeVaaStrategy:
     """Entangled-pair cube protocol: VAA measurement plus its reading rule."""
 
     setup: CubeGameSetup
-    prediction: PredictionTable | None = None
+    prediction: np.ndarray | None = None  # [k, a]: sign called on diagonal a
 
     def __post_init__(self) -> None:
         if self.prediction is None:
@@ -135,7 +134,7 @@ def _lower_cube_vaa(s: CubeVaaStrategy) -> GameTables:
         first[a] = np.abs(bra.conj() @ setup.bell) ** 2
     control = vaa_overlap_table(setup)
     return GameTables("cube-vaa", _check_probs(first), _check_probs(control),
-                      _sign_index(s.prediction.table))
+                      _sign_index(s.prediction))
 
 
 def _lower_cube_conventional(s: CubeConventionalStrategy) -> GameTables:

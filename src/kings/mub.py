@@ -41,6 +41,11 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.states.shape[1]
 
+    @cached_property
+    def defect(self) -> float:
+        """orthonormality_defect of the states, computed once (they are read-only)."""
+        return orthonormality_defect(self.states)
+
     def state(self, j: int) -> np.ndarray:
         return self.states[j]
 

@@ -38,5 +38,5 @@ def cube_vaa_strategy() -> CubeVaaStrategy:
 def cube_conventional_strategy() -> CubeConventionalStrategy:
     """Optimal ancilla-free cube protocol (exact axis, frozen)."""
     setup = make_cube_setup()
-    result = conventional_cube_optimize(setup, grid_deg=1.0)
+    result = conventional_cube_optimize(setup)
     return CubeConventionalStrategy(setup=setup, direction=result.direction, rule=result.rule)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import MubFamily, OrthonormalBasis, orthonormality_defect
+from .mub import MubFamily, OrthonormalBasis
 from .config import DEFAULT
 
 
@@ -153,6 +153,12 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     return AssignmentMap(forward)
 
 
+def _require_orthonormal(control: OrthonormalBasis) -> None:
+    """Reject a control basis whose Gram matrix is off the identity, or NaN."""
+    if not control.defect <= DEFAULT.construction:  # a NaN defect fails too
+        raise ValueError(f"control basis is not orthonormal (defect {control.defect:g})")
+
+
 @dataclass
 class ConventionalStrategy:
     """Eigenstate preparation + one control basis + outcome assignment."""
@@ -170,9 +176,7 @@ class ConventionalStrategy:
         if self.prep_index not in range(self.family.dim):
             raise ValueError(f"prep_index {self.prep_index} is not a state index "
                              f"0..{self.family.dim - 1}")
-        defect = orthonormality_defect(self.control.states)
-        if not defect <= DEFAULT.construction:  # a NaN defect fails too
-            raise ValueError(f"control basis is not orthonormal (defect {defect:g})")
+        _require_orthonormal(self.control)
         self.assignment.require_well_conditioned()
         covered = set(self.assignment.covered)
         expected = set(self.family.labels) - {self.prep_basis}
@@ -191,6 +195,7 @@ def build_strategy(
     control: OrthonormalBasis,
 ) -> ConventionalStrategy:
     """Greedy assignment, repaired to a bijection, wrapped as a strategy."""
+    _require_orthonormal(control)  # before the overlaps, so the repair never meets a NaN
     overlaps = overlap_matrix(family, control)
     repaired = repair_well_conditioned(_assign_greedy(overlaps, prep_basis), overlaps)
     return ConventionalStrategy(

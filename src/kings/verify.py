@@ -22,6 +22,7 @@ from .cube import (
     vaa_overlap_table,
     vaa_prediction_table,
     vaa_success_exact,
+    verify_bell_decompositions,
     wrong_prediction_mass,
 )
 from .game import GameConfig, run
@@ -207,9 +208,14 @@ def criterion_cube_vaa() -> CriterionResult:
     expected_wrong = 1.0 - (2 + np.sqrt(3)) / 4
     wrong_dev = float(np.abs(wrong - expected_wrong).max())
     success = vaa_success_exact(setup)
-    chi1 = tuple(vaa_prediction_table(setup).table[0])
-    elapsed = time.perf_counter() - t0
+    chi1 = tuple(vaa_prediction_table(setup)[0])
     problems = []
+    try:
+        defect = max(verify_bell_decompositions(setup).values())
+    except ValueError as exc:
+        defect = float("nan")
+        problems.append(f"product decompositions: {exc}")
+    elapsed = time.perf_counter() - t0
     if table_dev > 5e-4:
         problems.append(f"overlap table deviates by {table_dev:.2e}")
     if wrong_dev > 1e-10:
@@ -219,19 +225,23 @@ def criterion_cube_vaa() -> CriterionResult:
     if chi1 != (1, -1, 1, 1):
         problems.append(f"chi_1 predictions {chi1}")
     return _result(7, "cube game with entangled pair", elapsed, problems,
-                   f"table within {table_dev:.1e}, success {success:.6f}, chi_1 rule (+,-,+,+)")
+                   f"table within {table_dev:.1e}, success {success:.6f}, chi_1 rule (+,-,+,+), "
+                   f"decomposition defect {defect:.1e}")
 
 
 def criterion_cube_conventional() -> CriterionResult:
     t0 = time.perf_counter()
     setup = make_cube_setup()
-    result = conventional_cube_optimize(setup, grid_deg=0.25)
+    result = conventional_cube_optimize(setup)
     elapsed = time.perf_counter() - t0
     exact = (15 + np.sqrt(33)) / 24
     reference_angle = 180.0 - np.degrees(np.arctan(4 * np.sqrt(2)))
+    gap = result.upper_bound - result.value
     problems = []
     if abs(result.value - exact) > 1e-4:
         problems.append(f"value {result.value!r} vs {exact!r}")
+    if not abs(gap) <= 1e-12:  # a NaN gap fails too
+        problems.append(f"value {result.value!r} misses its bound {result.upper_bound!r}")
     if abs(result.angle_to_first_diagonal_deg - 100.0) > 0.5:
         problems.append(f"angle {result.angle_to_first_diagonal_deg:.3f} deg")
     if result.great_circle is None:
@@ -240,8 +250,8 @@ def criterion_cube_conventional() -> CriterionResult:
         problems.append("does not beat the constant-guess baseline")
     return _result(8, "ancilla-free cube optimum", elapsed, problems,
                    f"value {result.value:.9f} (exact {exact:.9f}, |value - exact| "
-                   f"{abs(result.value - exact):.1e}, value - grid_best "
-                   f"{result.value - result.grid_best:.1e}), angle "
+                   f"{abs(result.value - exact):.1e}, upper_bound - value "
+                   f"{gap:.1e}), angle "
                    f"{result.angle_to_first_diagonal_deg:.3f} deg (reference "
                    f"{reference_angle:.3f}), {len(result.co_optima)} co-optimal axes")
 

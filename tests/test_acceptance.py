@@ -4,7 +4,10 @@ Each test prints the criterion's pass/fail line (visible with -s or on
 failure) and asserts it passed.  The same checks back `kings verify`.
 """
 
+import dataclasses
 import itertools
+
+import numpy as np
 
 from kings import verify
 
@@ -66,3 +69,21 @@ def test_over_budget_criterion_fails_and_names_its_budget(monkeypatch):
     assert not result.passed
     assert result.details == "took 1.000 s, budget 0.001 s"
     assert "FAIL" in result.line()
+
+
+def test_criterion_07_fails_on_a_broken_product_decomposition(monkeypatch):
+    setup = verify.make_cube_setup()
+    nan_pair = dataclasses.replace(setup, bell=np.array([np.nan, 0, 0, 1], dtype=complex))
+    monkeypatch.setattr(verify, "make_cube_setup", lambda: nan_pair)
+    result = verify.criterion_cube_vaa()
+    assert not result.passed
+    assert "decomposition defects" in result.details
+
+
+def test_criterion_08_fails_when_the_value_misses_its_bound(monkeypatch):
+    optimize = verify.conventional_cube_optimize
+    monkeypatch.setattr(verify, "conventional_cube_optimize", lambda setup: dataclasses.replace(
+        optimize(setup), upper_bound=float("nan")))
+    result = verify.criterion_cube_conventional()
+    assert not result.passed
+    assert "misses its bound" in result.details

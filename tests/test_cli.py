@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kings.bounds import bound_p
 from kings.cli import build_parser, main
-from kings.mub import construct_mub
+from kings.mub import OrthonormalBasis, construct_mub
 from kings.presets import d2_optimal_strategy
 from kings.serialize import (
     basis_to_json,
@@ -123,6 +123,16 @@ def test_eval_control_file(capsys, tmp_path):
     assert json.loads(out)["total"] == pytest.approx((4 + np.sqrt(2)) / 6, abs=1e-12)
 
 
+def test_eval_rejects_a_nan_control_file(capsys, tmp_path):
+    states = np.eye(7, dtype=complex)
+    states[0, 0] = np.nan
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps(basis_to_json(OrthonormalBasis(label=None, states=states))))
+    code, _, err = run_cli(capsys, "eval", "--d", "7", "--control", str(control))
+    assert code == 2
+    assert err.startswith("error: control basis is not orthonormal") and err.count("\n") == 1
+
+
 def test_eval_no_builtin_for_d3(capsys):
     code, _, err = run_cli(capsys, "eval", "--d", "3", "--control", "builtin")
     assert code == 2
@@ -211,10 +221,12 @@ def test_cube_vaa_table_files(capsys, tmp_path):
 
 
 def test_cube_conventional(capsys):
-    code, out, _ = run_cli(capsys, "cube", "conventional", "--grid-deg", "1.0")
+    code, out, _ = run_cli(capsys, "cube", "conventional")
     obj = json.loads(out)
     assert code == 0
+    assert obj["manifest"]["parameters"] == {}
     assert obj["value"] == pytest.approx((15 + np.sqrt(33)) / 24, abs=1e-9)
+    assert abs(obj["upper_bound"] - obj["value"]) <= 1e-12
     assert abs(obj["angle_to_first_diagonal_deg"] - 100.0) < 0.5
     assert obj["great_circle_partner"] in (2, 3, 4)
     assert obj["baseline"] == pytest.approx(0.75)
@@ -224,8 +236,6 @@ def test_cube_conventional(capsys):
 @pytest.mark.parametrize("argv", [
     ("simulate", "--mode", "d2", "--trials", "0"),
     ("simulate", "--mode", "d4", "--trials", "-5"),
-    ("cube", "conventional", "--grid-deg", "0"),
-    ("cube", "conventional", "--grid-deg", "-1.5"),
     ("eval", "--d", "4", "--control", "builtin", "--prep-basis", "9"),
     ("eval", "--d", "4", "--control", "builtin", "--prep-index", "9"),
     ("eval", "--d", "4", "--control", "builtin", "--prep-basis", "-1"),
@@ -238,7 +248,7 @@ def test_cube_conventional(capsys):
     ("search", "--d", "3", "--outdir", "/dev/null/x"),
     ("search", "--d", "4", "--outdir", "/dev/null/x"),
     ("cube", "vaa", "--outdir", "/dev/null/x"),
-    ("cube", "conventional", "--grid-deg", "5", "--out", "/dev/null/x"),
+    ("cube", "conventional", "--out", "/dev/null/x"),
     ("mub", "--d", "4", "--out", "/dev/null/x"),
     ("bound", "--d", "3", "--out", "/dev/null/x"),
     ("bound", "--table1", "--out", "/dev/null/x"),
@@ -307,7 +317,7 @@ SUBCOMMAND_FLAGS = {
     "eval": {"--d", "--control", "--prep-basis", "--prep-index", "--out"},
     "search": {"--d", "--emit", "--outdir"},
     "cube vaa": {"--outdir"},
-    "cube conventional": {"--grid-deg", "--out"},
+    "cube conventional": {"--out"},
     "simulate": {"--mode", "--trials", "--seed", "--out"},
     "tables": {"--which", "--outdir"},
     "verify": {"--profile"},
@@ -347,7 +357,7 @@ FUZZ_COMMANDS = [
      ("--d", "--prep-basis", "--prep-index", "--out")),
     (("search", "--d", "4"), ("--d", "--outdir")),
     (("cube", "vaa"), ("--outdir",)),
-    (("cube", "conventional", "--grid-deg", "5"), ("--grid-deg", "--out")),
+    (("cube", "conventional"), ("--out",)),
     (("simulate", "--mode", "d2", "--trials", "1000"), ("--seed", "--trials", "--out")),
     (("tables", "--which", "1"), ("--outdir",)),
 ]
@@ -362,7 +372,7 @@ def bad_command_lines(draw):
     flag = draw(st.sampled_from(flags))
     if flag in ("--out", "--outdir"):
         value = "/dev/null/" + draw(st.text(alphabet="abc019_", min_size=1, max_size=8))
-    elif flag in ("--tolerance", "--grid-deg"):
+    elif flag == "--tolerance":
         value = draw(NOT_FINITE | st.floats(max_value=0.0).map(repr))
     else:
         value = draw(NOT_FINITE | st.integers(max_value=-1 if flag in ZERO_IS_VALID else 0).map(str))

@@ -23,7 +23,7 @@ assert search.certify_d3_impossible(family3).passed
 bounds.relaxed_f_max(family3)
 setup = cube.make_cube_setup()
 cube.vaa_success_exact(setup)
-cube.conventional_cube_optimize(setup, grid_deg=1.0)
+cube.conventional_cube_optimize(setup)
 with tempfile.TemporaryDirectory() as out:
     tables.write_tables(out)
 strategies = [presets.d4_optimal_strategy(), presets.d2_optimal_strategy(),

@@ -135,6 +135,7 @@ def test_orthonormality_defect():
     assert orthonormality_defect(np.eye(3, dtype=complex)) == 0.0
     skew = np.array([[1, 0], [0.1, 1]], dtype=complex)
     assert orthonormality_defect(skew) > 0.09
+    assert OrthonormalBasis(label=None, states=skew).defect == orthonormality_defect(skew)
 
 
 @pytest.mark.parametrize("d", (1, 6, 9, 10, 12))

@@ -215,13 +215,19 @@ def test_strategy_rejects_non_orthonormal_control():
         build_strategy(family, 0, 0, skew)
 
 
-def test_strategy_rejects_a_nan_control():
-    # constructed directly: build_strategy would already fail in the assignment repair
-    strategy = d2_optimal_strategy()
-    states = strategy.control.states.copy()
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_strategy_rejects_a_nan_control(d):
+    # build_strategy checks the control before its overlaps reach the repair,
+    # and a strategy constructed directly runs the same check
+    family = construct_mub(d)
+    control = random_control_basis(d, np.random.default_rng(d))
+    states = control.states.copy()
     states[0, 0] = np.nan
+    nan_control = OrthonormalBasis(label=None, states=states)
     with pytest.raises(ValueError, match="not orthonormal"):
-        dataclasses.replace(strategy, control=OrthonormalBasis(label=None, states=states))
+        build_strategy(family, 0, 0, nan_control)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        dataclasses.replace(build_strategy(family, 0, 0, control), control=nan_control)
 
 
 @pytest.mark.parametrize("prep_basis, prep_index", [(5, 0), (-1, 0), (0, 4), (0, -1)])
