@@ -17,7 +17,7 @@ from kings import certify_d3_impossible, construct_mub, overlap_target, relaxed_
 
 def main() -> None:
     family = construct_mub(3)
-    report = certify_d3_impossible(family, delta=1e-3)
+    report = certify_d3_impossible(family)
     print(f"tuples certified: {len(report.tuples)}")
     print(f"all stay at least delta = {report.delta} away: {report.passed}")
     print(f"closest approach on the grid (worst tuple): {report.worst:.12f}")

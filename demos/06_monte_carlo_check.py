@@ -23,11 +23,12 @@ def main() -> None:
     trials = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
     seed = 7
 
+    d4, d2 = d4_optimal_strategy(), d2_optimal_strategy()
     vaa = cube_vaa_strategy()
     conv = cube_conventional_strategy()
     cases = [
-        ("mub d=4", d4_optimal_strategy(), success_exact(d4_optimal_strategy()).total),
-        ("mub d=2", d2_optimal_strategy(), success_exact(d2_optimal_strategy()).total),
+        ("mub d=4", d4, success_exact(d4).total),
+        ("mub d=2", d2, success_exact(d2).total),
         ("cube entangled", vaa, vaa_success_exact(vaa.setup)),
         ("cube ancilla-free", conv, conventional_cube_value(conv.setup, conv.direction)),
     ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT
-from .mub import OrthonormalBasis, orthonormality_defect
+from .mub import OrthonormalBasis
 from .qstate import spin_up_state, tensor
 
 REFLECTION_PARTNER: dict[int, int] = {0: 3, 1: 2, 2: 1, 3: 0}
@@ -54,9 +54,8 @@ def make_cube_setup() -> CubeGameSetup:
         [0, eb, e, r2],
         [0, -eb, -e, r2],
     ]))
-    defect = orthonormality_defect(vaa.states)
-    if not defect <= DEFAULT.construction:
-        raise ValueError(f"VAA basis defect {defect:g}")
+    if not vaa.defect <= DEFAULT.construction:
+        raise ValueError(f"VAA basis defect {vaa.defect:g}")
     return CubeGameSetup(diagonals=diagonals, bell=bell, vaa=vaa)
 
 
@@ -75,21 +74,21 @@ def king_collapse(setup: CubeGameSetup, diagonal: int, sign: int) -> np.ndarray:
     )
 
 
-def verify_bell_decompositions(setup: CubeGameSetup, *, atol: float | None = None) -> dict[int, float]:
+def verify_bell_decompositions(setup: CubeGameSetup) -> dict[int, float]:
     """Ray-equality defects of the four product decompositions of the pair.
 
     For each diagonal a the state (|+a,+partner> + |-a,-partner>)/sqrt(2)
     must reproduce the shared pair up to a global phase; returns the defect
-    | |<bell|candidate>| - 1 | per diagonal and raises if any exceeds atol.
+    | |<bell|candidate>| - 1 | per diagonal and raises if any exceeds the
+    comparison tolerance.
     """
-    atol = DEFAULT.comparison if atol is None else atol
     defects: dict[int, float] = {}
     for a in range(4):
         candidate = (king_collapse(setup, a, +1) + king_collapse(setup, a, -1)) / np.sqrt(2)
         defects[a] = float(abs(abs(np.vdot(setup.bell, candidate)) - 1.0))
-    bad = {a: v for a, v in defects.items() if not v <= atol}
+    bad = {a: v for a, v in defects.items() if not v <= DEFAULT.comparison}
     if bad:
-        raise ValueError(f"decomposition defects exceed {atol}: {bad}")
+        raise ValueError(f"decomposition defects exceed {DEFAULT.comparison}: {bad}")
     return defects
 
 
@@ -194,12 +193,12 @@ class CubeConventionalResult:
     upper_bound: float
 
 
-def _great_circle_tag(setup: CubeGameSetup, m: np.ndarray, *, atol: float = 1e-6) -> int | None:
+def _great_circle_tag(setup: CubeGameSetup, m: np.ndarray) -> int | None:
     """Which n_1 - n_k great circle (k in 1..3, 0-based) contains m, if any."""
     for k in range(1, 4):
         normal = np.cross(setup.diagonals[0], setup.diagonals[k])
         normal /= np.linalg.norm(normal)
-        if abs(float(m @ normal)) < atol:
+        if abs(float(m @ normal)) < 1e-6:
             return k
     return None
 

@@ -18,7 +18,7 @@ and a run within one chunk reads the stream as one draw.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,28 +40,20 @@ BLOCK = 1 << 14
 
 @dataclass
 class CubeVaaStrategy:
-    """Entangled-pair cube protocol: VAA measurement plus its reading rule."""
+    """Entangled-pair cube protocol: the VAA measurement, read by the
+    majority-likelihood rule vaa_prediction_table derives from the setup."""
 
     setup: CubeGameSetup
-    prediction: np.ndarray | None = None  # [k, a]: sign called on diagonal a
-
-    def __post_init__(self) -> None:
-        if self.prediction is None:
-            self.prediction = vaa_prediction_table(self.setup)
 
 
 @dataclass
 class CubeConventionalStrategy:
     """Ancilla-free cube protocol: spin-up preparation along diagonal 1 and
-    a single control direction with its sign rule."""
+    a single control direction, read by the sign rule
+    conventional_cube_rule derives from the two."""
 
     setup: CubeGameSetup
     direction: np.ndarray
-    rule: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.rule:
-            self.rule = conventional_cube_rule(self.setup, self.direction)
 
 
 Strategy = ConventionalStrategy | CubeVaaStrategy | CubeConventionalStrategy
@@ -134,7 +126,7 @@ def _lower_cube_vaa(s: CubeVaaStrategy) -> GameTables:
         first[a] = np.abs(bra.conj() @ setup.bell) ** 2
     control = vaa_overlap_table(setup)
     return GameTables("cube-vaa", _check_probs(first), _check_probs(control),
-                      _sign_index(s.prediction))
+                      _sign_index(vaa_prediction_table(setup)))
 
 
 def _lower_cube_conventional(s: CubeConventionalStrategy) -> GameTables:
@@ -151,8 +143,9 @@ def _lower_cube_conventional(s: CubeConventionalStrategy) -> GameTables:
             control[2 * a + si] = (abs(np.vdot(plus, state)) ** 2,
                                    abs(np.vdot(minus, state)) ** 2)
     # control outcome 0 (+) calls the rule's sign; 1 (-) flips it off diagonal 0
-    signs = np.array([[s.rule[a] for a in range(4)],
-                      [s.rule[a] if a == 0 else -s.rule[a] for a in range(4)]])
+    rule = conventional_cube_rule(setup, s.direction)
+    signs = np.array([[rule[a] for a in range(4)],
+                      [rule[a] if a == 0 else -rule[a] for a in range(4)]])
     return GameTables("cube-conventional", _check_probs(first), _check_probs(control),
                       _sign_index(signs))
 

@@ -193,32 +193,23 @@ def certify_family(family: MubFamily, *, atol: float | None = None) -> Certifica
 
     Passes only if every basis is orthonormal and every cross-basis overlap
     satisfies |<a|b>|^2 = 1/d, both within `atol` (default: the comparison
-    tolerance). A NaN deviation is worst of all: it is kept once seen, so it
-    is reported and fails the family.
+    tolerance).  Each check is one array expression over every basis or
+    basis pair a < b, and its worst entry is the first maximum in (basis,
+    row, column) order: ties go to the first location, and a NaN deviation,
+    worst of all, is reported with its location and fails the family.
     """
     atol = DEFAULT.comparison if atol is None else atol
     d = family.dim
-    worst_orth = 0.0
-    worst_orth_at = (0, 0, 0)
-    for basis in family.bases:
-        gram = np.abs(basis.states.conj() @ basis.states.T - np.eye(d))
-        idx = np.unravel_index(np.argmax(gram), gram.shape)
-        # argmax picks the first NaN if there is one; once worst is NaN it stays NaN
-        if not (gram[idx] < worst_orth or np.isnan(worst_orth)):
-            worst_orth = float(gram[idx])
-            worst_orth_at = (basis.label, int(idx[0]), int(idx[1]))
-    worst_unb = 0.0
-    worst_unb_at = (0, 0, 1, 0)
-    for a in family.labels:
-        for b in family.labels:
-            if a >= b:
-                continue
-            cross = np.abs(family.bases[a].states.conj() @ family.bases[b].states.T) ** 2
-            dev = np.abs(cross - 1.0 / d)
-            idx = np.unravel_index(np.argmax(dev), dev.shape)
-            if not (dev[idx] < worst_unb or np.isnan(worst_unb)):
-                worst_unb = float(dev[idx])
-                worst_unb_at = (a, int(idx[0]), b, int(idx[1]))
+    states = family.array
+    orth = np.abs(states.conj() @ states.transpose(0, 2, 1) - np.eye(d))
+    m, i, j = np.unravel_index(np.argmax(orth), orth.shape)
+    worst_orth = float(orth[m, i, j])
+    worst_orth_at = (family.bases[m].label, int(i), int(j))
+    a, b = np.triu_indices(d + 1, 1)
+    unb = np.abs(np.abs(states[a].conj() @ states[b].transpose(0, 2, 1)) ** 2 - 1.0 / d)
+    p, i, j = np.unravel_index(np.argmax(unb), unb.shape)
+    worst_unb = float(unb[p, i, j])
+    worst_unb_at = (int(a[p]), int(i), int(b[p]), int(j))
     return CertificationReport(
         dim=d,
         passed=(worst_orth <= atol and worst_unb <= atol),

@@ -39,4 +39,4 @@ def cube_conventional_strategy() -> CubeConventionalStrategy:
     """Optimal ancilla-free cube protocol (exact axis, frozen)."""
     setup = make_cube_setup()
     result = conventional_cube_optimize(setup)
-    return CubeConventionalStrategy(setup=setup, direction=result.direction, rule=result.rule)
+    return CubeConventionalStrategy(setup=setup, direction=result.direction)

@@ -18,7 +18,7 @@ tuple its exact lattice minimum and a floor that no phases get below.  In
 d = 4, on the 11.25 degree lattice, the 224 tuples outside the catalogue
 have positive floors, so only the 32 catalogue tuples reach the target.
 The analogous d = 3 construction has no solution: certify_d3_impossible
-checks that every floor sits above delta, evaluating a fraction of a
+checks that every floor sits above DELTA, evaluating a fraction of a
 percent of the nodes.
 """
 
@@ -74,42 +74,42 @@ def _exact_phase(z: complex) -> complex:
     return 1j ** k if k % 2 else 1 - k  # 1 and -1 as ints, as SIGNAL_CATALOG has them
 
 
-def find_signal_states(family: MubFamily, *, tol: float = 1e-9) -> list[SignalState]:
+def find_signal_states(family: MubFamily) -> list[SignalState]:
     """Every equal-overlap signal state of the family, in lexicographic order.
 
-    A selection whose top Gram eigenvalue reaches d * overlap_target(d) - tol
+    A selection whose top Gram eigenvalue reaches d * overlap_target(d) - TOL
     yields its top eigenvector u; the state superposes the selection with
     phases u[m] / u[0], 4th roots of unity written exactly, and is kept when
     its squared overlap with each constituent equals overlap_target(d)
-    within `tol`.  Raises ValueError past 5^5 selections (d >= 7).
+    within TOL.  Raises ValueError past 5^5 selections (d >= 7).
     """
     d = family.dim
     target = overlap_target(d)
     index_tuples, grams = selection_grams(family)
     tops, vecs = np.linalg.eigh(grams)
     found: list[SignalState] = []
-    for t in np.flatnonzero(tops[:, -1] >= d * target - tol):
+    for t in np.flatnonzero(tops[:, -1] >= d * target - TOL):
         u = vecs[t, :, -1]
         phases = tuple(_exact_phase(z) for z in u[1:] / u[0])
         amps = _norm_constant(d) * grams[t] @ np.array((1, *phases))
-        if np.abs(np.abs(amps) ** 2 - target).max() < tol:
+        if np.abs(np.abs(amps) ** 2 - target).max() < TOL:
             indices = index_tuples[t]
             found.append(SignalState(indices=indices, phases=phases,
                                      vector=signal_candidate(family, indices, phases)))
     return found
 
 
-def find_measurement_bases(states: list[SignalState], *, tol: float = 1e-9) -> list[MeasurementBasis]:
+def find_measurement_bases(states: list[SignalState]) -> list[MeasurementBasis]:
     """All orthonormal bases among the signal states, canonically ordered.
 
     Enumerates the d-cliques, d the states' dimension, of the orthogonality
-    graph (an edge wherever two states overlap by less than `tol`): each
+    graph (an edge wherever two states overlap by less than TOL): each
     state is extended by the (d - 1)-subsets of its later neighbours, so the
     bases come out lexicographically.
     """
     vecs = np.array([s.vector for s in states])
     d = vecs.shape[-1]
-    ortho = np.abs(vecs.conj() @ vecs.T) < tol
+    ortho = np.abs(vecs.conj() @ vecs.T) < TOL
     out: list[MeasurementBasis] = []
     for a in range(len(states)):
         later = [b for b in range(a + 1, len(states)) if ortho[a, b]]
@@ -188,6 +188,8 @@ class ImpossibilityReport:
         return self.floor > self.delta
 
 
+TOL = 1e-9  # overlap tolerance of the signal-state and basis searches
+DELTA = 1e-3  # deviation floor the d = 3 certificate must clear
 TILE = 32  # side, in lattice steps, of the boxes lattice_deviations starts from
 
 
@@ -276,12 +278,7 @@ def lattice_deviations(family: MubFamily, *, grid_deg: float) -> list[TupleDevia
     ]
 
 
-def certify_d3_impossible(
-    family: MubFamily,
-    *,
-    delta: float = 1e-3,
-    grid_deg: float = 0.5,
-) -> ImpossibilityReport:
+def certify_d3_impossible(family: MubFamily, *, grid_deg: float = 0.5) -> ImpossibilityReport:
     """Prove no d = 3 signal state exists for any index tuple.
 
     lattice_deviations gives each of the 27 index tuples its exact minimum
@@ -290,12 +287,12 @@ def certify_d3_impossible(
     pair gets.  Branch and bound finds the minimum: it drops every box of
     nodes whose centre value less (1 + 1e-9) 2 r slack, r the box's
     half-width in steps, is above the least value found so far.  Passes when
-    the floor over all tuples exceeds `delta`.
+    the floor over all tuples exceeds DELTA.
     """
     if family.dim != 3:
         raise ValueError(f"this certificate is specific to dim 3, got {family.dim}")
     tuples = lattice_deviations(family, grid_deg=grid_deg)
-    return ImpossibilityReport(dim=3, delta=delta, tuples=tuples,
+    return ImpossibilityReport(dim=3, delta=DELTA, tuples=tuples,
                                evaluated=sum(t.evaluated for t in tuples),
                                grid_nodes=27 * _lattice_steps(grid_deg) ** 2)
 

@@ -181,7 +181,7 @@ def criterion_d4_optimum() -> CriterionResult:
 def criterion_d3_impossibility() -> CriterionResult:
     t0 = time.perf_counter()
     family = construct_mub(3)
-    report = certify_d3_impossible(family, delta=1e-3)
+    report = certify_d3_impossible(family)
     relaxed = relaxed_f_max(family, excluded=0)
     elapsed = time.perf_counter() - t0
     ceiling = 3 * overlap_target(3)

@@ -61,9 +61,9 @@ def test_decompositions_reject_a_nan_pair(setup):
 
 
 def test_cube_setup_rejects_a_nan_vaa_defect(monkeypatch):
-    import kings.cube
+    import kings.mub
 
-    monkeypatch.setattr(kings.cube, "orthonormality_defect", lambda states: float("nan"))
+    monkeypatch.setattr(kings.mub, "orthonormality_defect", lambda states: float("nan"))
     with pytest.raises(ValueError, match="VAA basis defect"):
         make_cube_setup()
 

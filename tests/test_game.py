@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 from kings import game
-from kings.cube import conventional_cube_value, make_cube_setup, vaa_success_exact
+from kings.cube import (
+    conventional_cube_rule,
+    conventional_cube_value,
+    make_cube_setup,
+    vaa_prediction_table,
+    vaa_success_exact,
+)
 from kings.game import (
     BLOCK,
     CHUNK,
     CubeConventionalStrategy,
-    CubeVaaStrategy,
     GameConfig,
     GameResult,
     _check_probs,
@@ -276,12 +281,21 @@ def test_game_result_equality_is_field_wise():
     assert a != GameResult("m", 10, 5, 0.5, 0.1, {0: (10, 5)}, seed=2)
 
 
-def test_custom_cube_strategies_accept_overrides():
+def test_cube_lowering_derives_the_sign_rules():
     setup = make_cube_setup()
-    vaa = CubeVaaStrategy(setup=setup)
-    assert vaa.prediction is not None
-    m = np.array([0.0, 0.0, 1.0])
-    conv = CubeConventionalStrategy(setup=setup, direction=m)
-    assert conv.rule[0] == 1
-    result = run(GameConfig(strategy=conv, trials=5_000, seed=3))
-    assert 0 < result.estimate < 1
+    vaa_signs = vaa_prediction_table(setup)
+    assert (_lower(cube_vaa_strategy()).predict == (1 - vaa_signs) // 2).all()
+    rng = np.random.default_rng(5)
+    randoms = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 3))]
+    for m in [cube_conventional_strategy().direction, *randoms]:
+        rule = conventional_cube_rule(setup, m)
+        plus = [rule[a] for a in range(4)]
+        minus = [rule[0]] + [-rule[a] for a in range(1, 4)]
+        expected = (1 - np.array([plus, minus])) // 2  # sign +1 -> 0, -1 -> 1
+        tables = _lower(CubeConventionalStrategy(setup=setup, direction=m))
+        assert (tables.predict == expected).all()
+    m = randoms[0]
+    result = run(GameConfig(CubeConventionalStrategy(setup=setup, direction=m), 20_000, seed=3))
+    assert abs(result.estimate - conventional_cube_value(setup, m)) < 5 * result.stderr
+    with pytest.raises(ValueError, match="unit length"):
+        _lower(CubeConventionalStrategy(setup=setup, direction=2 * m))
