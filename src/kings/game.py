@@ -7,11 +7,12 @@ once to a GameTables record (outcome distributions plus a prediction table in
 index space), and one sampling loop serves every kind.  Trials are drawn in
 chunks of CHUNK from one numpy PCG64 stream: per chunk the king's choices,
 then the king's uniforms, then the control uniforms.  Two inverse-CDF passes
-refine the choices in place into one cell index BLOCK trials at a time, each
-block's uniforms drawn into one BLOCK buffer, so the stream is read in the
-same order as whole draws; one bincount counts each (choice, king outcome,
-control outcome) cell, and a boolean win table weights the cells into wins.
-Memory is O(CHUNK), about 8 B per trial, a seed pins the result bit for bit,
+refine the choices in place into one int32 cell index BLOCK trials at a
+time, each block's uniforms drawn into one BLOCK buffer, so the stream is
+read in the same order as whole draws; a bincount of each block of the
+second pass counts its (choice, king outcome, control outcome) cells, and a
+boolean win table weights the cells into wins.
+Memory is O(CHUNK), about 4 B per trial, a seed pins the result bit for bit,
 and a run within one chunk reads the stream as one draw.
 """
 
@@ -31,7 +32,7 @@ from .cube import (
     vaa_prediction_table,
 )
 from .qstate import spin_up_state
-from .strategy import ConventionalStrategy, overlap_matrix
+from .strategy import ConventionalStrategy
 
 GENERATOR_NAME = "numpy-pcg64"
 CHUNK = 1 << 20
@@ -111,8 +112,8 @@ def _sign_index(signs: np.ndarray) -> np.ndarray:
 def _lower_mub(s: ConventionalStrategy) -> GameTables:
     family, d = s.family, s.family.dim
     first = np.abs(np.einsum("ijm,m->ij", family.array.conj(), s.preparation)) ** 2
-    control = overlap_matrix(family, s.control).reshape(-1, d)
-    predict = s.assignment.prediction
+    control = s.overlaps.reshape(-1, d)
+    predict = s.assignment.prediction.copy()
     predict[:, s.prep_basis] = s.prep_index
     return GameTables(f"mub-d{d}", _check_probs(first), _check_probs(control), predict)
 
@@ -184,12 +185,13 @@ def run(config: GameConfig) -> GameResult:
     u = np.empty(min(BLOCK, trials))
     for start in range(0, trials, CHUNK):
         size = min(CHUNK, trials - start)
-        index = rng.integers(0, n_choices, size=size)
+        index = rng.integers(0, n_choices, size=size, dtype=np.int32)
         for cdf in (first, control):  # c * n_out + o, then (c * n_out + o) * n_k + k
             for b in range(0, size, BLOCK):
                 i = index[b:b + BLOCK]
                 _refine(i, rng.random(out=u[:len(i)]), cdf)
-        counts += np.bincount(index, minlength=counts.size)
+                if cdf is control:  # per block: bincount copies int32 to intp
+                    counts += np.bincount(i, minlength=counts.size)
         del index, i  # free the chunk and its last block view before the next draw
     # win[c, o * n_k + k]: control outcome k calls king outcome o for choice c
     win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).reshape(n_choices, -1)

@@ -194,7 +194,33 @@ TILE = 32  # side, in lattice steps, of the boxes lattice_deviations starts from
 
 
 def _lattice_steps(grid_deg: float) -> int:
+    """Nodes per angle of the lattice of spacing `grid_deg` degrees."""
+    if not 0 < grid_deg < 720:  # NaN fails too; from 720 degrees no node is left
+        raise ValueError(f"grid_deg must lie in (0, 720) degrees to give a lattice, got {grid_deg!r}")
     return int(round(360 / grid_deg))
+
+
+def _halvings(steps: int) -> list[np.ndarray]:
+    """halvings[L][x]: half the side, in nodes, of the level-L interval starting at node x.
+
+    Level 0 cuts one angle's nodes into TILE-long intervals, the last one
+    shorter; each level halves every interval longer than one node into a
+    lower half of side // 2 nodes and an upper half of the rest.  The last
+    level has only one-node intervals.
+    """
+    start = np.arange(0, steps, TILE)
+    size = np.minimum(TILE, steps - start)
+    out = []
+    while True:
+        half = size // 2
+        table = np.zeros(steps, dtype=int)
+        table[start] = half
+        out.append(table)
+        if not half.any():
+            return out
+        split = half > 0
+        start = np.concatenate([start[split], start + half])
+        size = np.concatenate([half[split], size - half])
 
 
 def lattice_deviations(family: MubFamily, *, grid_deg: float) -> list[TupleDeviation]:
@@ -211,24 +237,26 @@ def lattice_deviations(family: MubFamily, *, grid_deg: float) -> list[TupleDevia
     lattice minimum by more than the slack
     h n^2 max_m sum_{j >= 1} |g_mj| sum_{l != j} |g_ml|.
 
-    The lattice minimum is exact but found by branch and bound.  Boxes of
-    nodes start as TILE-sided tiles (the last one per axis shorter).  Every
-    node of a box lies within r = max(size // 2) steps of its centre
-    c = lo + size // 2 in each angle, so its value is at least
-    f(c) - 2 r slack.  A box whose bound, with the slack widened by 1e-9 for
-    rounding, is above the tuple's least value so far is dropped; the others
-    are halved along every axis longer than one node until none are left.
-    Ties go to the lowest flat node index, as np.argmin over the full
-    lattice would choose.  A one-node box can repeat an earlier box's
-    centre; `evaluated` counts each node once.  The live boxes and every
-    evaluated node stay in memory, so a lattice where little is pruned
-    (d = 5 on a coarse grid) needs memory in proportion to its nodes.
+    The lattice minimum is exact but found by branch and bound, one tuple at
+    a time.  Boxes of nodes start as TILE-sided tiles (the last one per axis
+    shorter) and are halved along every axis longer than one node, so the
+    boxes of level L are products of the level-L intervals of _halvings and
+    a box's lower corner gives its side.  Every node of a box lies within
+    r = max(side // 2) steps of its centre c = lo + side // 2 in each angle,
+    so its value is at least f(c) - 2 r slack.  A box whose bound, with the
+    slack widened by 1e-9 for rounding, is above the tuple's least value so
+    far is dropped; the others are halved until none are left.  Ties go to
+    the lowest flat node index, as np.argmin over the full lattice would
+    choose.  A one-node box can repeat an earlier box's centre; `evaluated`
+    counts each node once.  A tuple's boxes and its log of evaluated nodes
+    are dropped before the next tuple starts, so memory scales with one
+    tuple's live boxes and evaluated nodes, not with the d^d tuples.
     """
+    steps = _lattice_steps(grid_deg)
     d = family.dim
     k = d - 1
     n2 = _norm_constant(d) ** 2
     target = overlap_target(d)
-    steps = _lattice_steps(grid_deg)
     ang = 2 * np.pi * np.arange(steps) / steps
     phases = np.exp(1j * ang)
     index_tuples, grams = selection_grams(family)
@@ -236,46 +264,48 @@ def lattice_deviations(family: MubFamily, *, grid_deg: float) -> list[TupleDevia
     grad = (a * (a.sum(axis=2, keepdims=True) - a))[:, :, 1:].sum(axis=2)
     slack = 2 * np.pi / steps * n2 * grad.max(axis=1)
 
-    ntup = len(index_tuples)
-    tile_lo = np.array(list(itertools.product(range(0, steps, TILE), repeat=k)))
-    tid = np.repeat(np.arange(ntup), len(tile_lo))
-    lo = np.tile(tile_lo, (ntup, 1))
-    size = np.minimum(TILE, steps - lo)
-    sides = np.array(list(itertools.product((0, 1), repeat=k)))  # lower/upper half per axis
-    best = np.full(ntup, np.inf)
-    seen = []  # (tuple id, value, flat node index) of every box centre evaluated
-    while tid.size:
-        c = lo + size // 2
-        dev = np.zeros(tid.size)
-        for gm in grams.transpose(1, 0, 2):  # row m of every tuple's Gram matrix
-            amp = gm[tid, 0]
+    halvings = _halvings(steps)
+    tiles = np.array(list(itertools.product(range(0, steps, TILE), repeat=k))).T  # lower corners
+    sides = np.array(list(itertools.product((0, 1), repeat=k))).T[:, None]  # lower/upper half per axis
+    strides = steps ** np.arange(k - 1, -1, -1)  # flat node index, row-major
+    terms = np.empty((k, d, steps), dtype=complex)
+    out = []
+    for t, indices in enumerate(index_tuples):
+        # terms[j, m, s] = g_m(j+1) e^(i ang[s]), plus g_m0 at j = 0; built row by
+        # row, as a broadcast product would buffer its operands
+        for m, g in enumerate(grams[t]):
             for j in range(k):
-                amp = amp + gm[tid, j + 1] * phases[c[:, j]]
-            np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
-        seen.append((tid, dev, np.ravel_multi_index(tuple(c.T), (steps,) * k)))
-        np.minimum.at(best, tid, dev)
-        r = (size // 2).max(axis=1)
-        keep = (r > 0) & (dev - (1 + 1e-9) * 2 * r * slack[tid] <= best[tid])
-        # halve every axis: lower halves (empty where the side is 1) and upper halves
-        half = (size[keep] // 2)[:, None]
-        lo = (lo[keep][:, None] + sides * half).reshape(-1, k)
-        size = np.where(sides, size[keep][:, None] - half, half).reshape(-1, k)
-        nonempty = size.min(axis=1) > 0
-        tid, lo, size = np.repeat(tid[keep], len(sides))[nonempty], lo[nonempty], size[nonempty]
-
-    tid, dev, node = map(np.concatenate, zip(*seen))
-    nodes = steps ** k
-    key = np.sort(tid * nodes + node)  # np.unique would import numpy.ma, about 20 ms cold
-    evaluated = np.bincount(key[np.diff(key, prepend=-1) != 0] // nodes, minlength=ntup)
-    first = np.full(ntup, nodes)
-    at_min = dev == best[tid]
-    np.minimum.at(first, tid[at_min], node[at_min])
-    return [
-        TupleDeviation(indices=indices, deviation=float(best[t]), slack=float(slack[t]),
-                       angles=tuple(float(ang[i]) for i in np.unravel_index(first[t], (steps,) * k)),
-                       evaluated=int(evaluated[t]))
-        for t, indices in enumerate(index_tuples)
-    ]
+                np.multiply(g[j + 1], phases, out=terms[j, m])
+            terms[0, m] += g[0]
+        lo, best, seen = tiles, np.inf, []  # lo[:, b]: lower corner of box b; seen: centres
+        for halving in halvings:
+            half = halving[lo]
+            c = lo + half
+            amp = terms[0].take(c[0], axis=1)
+            for j in range(1, k):
+                amp += terms[j].take(c[j], axis=1)
+            dev = np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target).max(axis=0)
+            node = strides @ c
+            seen.append(node)
+            low = dev.min()
+            if low <= best:
+                at = node[dev == low].min()
+                first = at if low < best else min(first, at)
+                best = low
+            r = half.max(axis=0)
+            keep = (r > 0) & (dev - (1 + 1e-9) * 2 * r * slack[t] <= best)
+            if not keep.any():
+                break
+            # halve every axis: lower halves (empty where the side is 1) and upper halves
+            lo, half = lo[:, keep], half[:, keep]
+            nonempty = ((half[:, :, None] > 0) | sides).all(axis=0).ravel()
+            lo = (lo[:, :, None] + sides * half[:, :, None]).reshape(k, -1)[:, nonempty]
+        seen = np.sort(np.concatenate(seen))
+        out.append(TupleDeviation(
+            indices=indices, deviation=float(best), slack=float(slack[t]),
+            angles=tuple(float(ang[i]) for i in np.unravel_index(first, (steps,) * k)),
+            evaluated=1 + int(np.count_nonzero(seen[1:] != seen[:-1]))))
+    return out
 
 
 def certify_d3_impossible(family: MubFamily, *, grid_deg: float = 0.5) -> ImpossibilityReport:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,26 +38,34 @@ class AssignmentMap:
     forward[i, j] = k: state j of basis i is signalled by outcome k.  forward
     has one row per basis of the family and one column per state; a row of -1
     is a basis the map does not cover.  prediction[k, i] = j inverts forward
-    on the rows that are bijections and is -1 elsewhere; each access builds a
-    new array.
+    on the rows that are bijections and is -1 elsewhere.  forward is made
+    read-only, so covered, bijective and prediction are derived once and
+    are read-only too.
     """
 
     forward: np.ndarray
 
-    @property
+    def __post_init__(self) -> None:
+        self.forward = np.asarray(self.forward)
+        self.forward.setflags(write=False)
+
+    @cached_property
     def covered(self) -> tuple[int, ...]:
         return tuple((self.forward.min(axis=1) >= 0).nonzero()[0].tolist())
 
-    @property
+    @cached_property
     def bijective(self) -> np.ndarray:
         """bijective[i]: row i is a permutation of the control outcomes."""
-        return (np.sort(self.forward, axis=1) == np.arange(self.forward.shape[1])).all(axis=1)
+        out = (np.sort(self.forward, axis=1) == np.arange(self.forward.shape[1])).all(axis=1)
+        out.setflags(write=False)
+        return out
 
-    @property
+    @cached_property
     def prediction(self) -> np.ndarray:
         prediction = np.full(self.forward.shape[::-1], -1)
         rows = self.bijective.nonzero()[0]
         prediction[self.forward[rows], rows[:, None]] = np.arange(self.forward.shape[1])
+        prediction.setflags(write=False)
         return prediction
 
     def _broken(self) -> np.ndarray:
@@ -187,6 +196,13 @@ class ConventionalStrategy:
     def preparation(self) -> np.ndarray:
         return self.family.state(self.prep_basis, self.prep_index)
 
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        """overlap_matrix(family, control), computed once (both are read-only)."""
+        out = overlap_matrix(self.family, self.control)
+        out.setflags(write=False)
+        return out
+
 
 def build_strategy(
     family: MubFamily,
@@ -250,7 +266,7 @@ def success_exact(strategy: ConventionalStrategy) -> SuccessBreakdown:
     covered = np.array(strategy.assignment.covered)
     forward = strategy.assignment.forward[covered]
     # f[r, j]: the overlap of state j of basis covered[r] with its assigned outcome
-    f = overlap_matrix(family, strategy.control)[covered[:, None], np.arange(d), forward]
+    f = strategy.overlaps[covered[:, None], np.arange(d), forward]
     per_basis = {strategy.prep_basis: 1.0, **dict(zip(covered.tolist(), f.mean(axis=1).tolist()))}
     # bincount adds the weights in row-major order, as a loop over (i, j) would
     per_signal = dict(enumerate(np.bincount(forward.ravel(), f.ravel(), minlength=d).tolist()))

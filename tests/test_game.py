@@ -220,8 +220,8 @@ def test_memory_per_trial_of_one_chunk(name, strategy, exact, n_choices):
 
 @pytest.mark.parametrize("name, strategy, exact, n_choices", _cases())
 def test_memory_of_one_chunk_is_its_index_and_uniforms(name, strategy, exact, n_choices):
-    """A chunk holds one int64 index plus cache-sized blocks."""
-    assert _traced_peak(strategy, CHUNK) <= 10 * CHUNK
+    """A chunk holds one int32 index plus cache-sized blocks."""
+    assert _traced_peak(strategy, CHUNK) <= 5 * CHUNK
 
 
 def test_memory_stays_flat_beyond_one_chunk():

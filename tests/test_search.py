@@ -1,7 +1,9 @@
 """The signal-state eigenproblem, its basis assembly, and the d = 3 certificate."""
 
 import itertools
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from kings.bounds import bound_p, overlap_target
 from kings.mub import OrthonormalBasis, construct_mub, selection_grams
 from kings.reference import BASIS_CATALOG, D3_WORST_MIN_DEVIATION, SIGNAL_CATALOG
 from kings.search import (
+    TILE,
     MeasurementBasis,
     SignalState,
     _norm_constant,
@@ -364,3 +367,105 @@ def test_d3_worst_matches_frozen_value(d3_report):
 def test_d3_certificate_requires_dim_3():
     with pytest.raises(ValueError):
         certify_d3_impossible(construct_mub(2))
+
+
+# --- the one-tuple engine against the all-tuple engine ---------------------------
+
+
+def _reference_lattice(family, grid_deg):
+    """The earlier lattice engine, kept as an oracle: one level-synchronous
+    frontier over the boxes of all d^d tuples at once, and one log of every
+    (tuple, value, node) evaluated.  Returns (indices, deviation, angles,
+    slack, evaluated) per tuple."""
+    d = family.dim
+    k = d - 1
+    n2 = _norm_constant(d) ** 2
+    target = overlap_target(d)
+    steps = int(round(360 / grid_deg))
+    ang = 2 * np.pi * np.arange(steps) / steps
+    phases = np.exp(1j * ang)
+    index_tuples, grams = selection_grams(family)
+    a = np.abs(grams)
+    grad = (a * (a.sum(axis=2, keepdims=True) - a))[:, :, 1:].sum(axis=2)
+    slack = 2 * np.pi / steps * n2 * grad.max(axis=1)
+
+    ntup = len(index_tuples)
+    tile_lo = np.array(list(itertools.product(range(0, steps, TILE), repeat=k)))
+    tid = np.repeat(np.arange(ntup), len(tile_lo))
+    lo = np.tile(tile_lo, (ntup, 1))
+    size = np.minimum(TILE, steps - lo)
+    sides = np.array(list(itertools.product((0, 1), repeat=k)))
+    best = np.full(ntup, np.inf)
+    seen = []
+    while tid.size:
+        c = lo + size // 2
+        dev = np.zeros(tid.size)
+        for gm in grams.transpose(1, 0, 2):
+            amp = gm[tid, 0]
+            for j in range(k):
+                amp = amp + gm[tid, j + 1] * phases[c[:, j]]
+            np.maximum(dev, np.abs(n2 * (amp.real ** 2 + amp.imag ** 2) - target), out=dev)
+        seen.append((tid, dev, np.ravel_multi_index(tuple(c.T), (steps,) * k)))
+        np.minimum.at(best, tid, dev)
+        r = (size // 2).max(axis=1)
+        keep = (r > 0) & (dev - (1 + 1e-9) * 2 * r * slack[tid] <= best[tid])
+        half = (size[keep] // 2)[:, None]
+        lo = (lo[keep][:, None] + sides * half).reshape(-1, k)
+        size = np.where(sides, size[keep][:, None] - half, half).reshape(-1, k)
+        nonempty = size.min(axis=1) > 0
+        tid, lo, size = np.repeat(tid[keep], len(sides))[nonempty], lo[nonempty], size[nonempty]
+
+    tid, dev, node = map(np.concatenate, zip(*seen))
+    nodes = steps ** k
+    key = np.sort(tid * nodes + node)
+    evaluated = np.bincount(key[np.diff(key, prepend=-1) != 0] // nodes, minlength=ntup)
+    first = np.full(ntup, nodes)
+    at_min = dev == best[tid]
+    np.minimum.at(first, tid[at_min], node[at_min])
+    return [(indices, float(best[t]),
+             tuple(float(ang[i]) for i in np.unravel_index(first[t], (steps,) * k)),
+             float(slack[t]), int(evaluated[t]))
+            for t, indices in enumerate(index_tuples)]
+
+
+@pytest.mark.parametrize("d, grid_deg", [(3, 0.5), (3, 0.7), (3, 3.0), (3, 10.0), (3, 45.0),
+                                         (3, 90.0), (3, 400.0), (4, 11.25), (4, 30.0), (4, 72.0)])
+def test_one_tuple_at_a_time_equals_the_all_tuple_engine(d, grid_deg):
+    """A tuple's pruning reads only its own least value, so running the tuples
+    one by one changes no output, `evaluated` included."""
+    family = construct_mub(d)
+    got = [(t.indices, t.deviation, t.angles, t.slack, t.evaluated)
+           for t in lattice_deviations(family, grid_deg=grid_deg)]
+    assert got == _reference_lattice(family, grid_deg)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_d3_certificate_memory_is_one_tuples_boxes():
+    family = construct_mub(3)
+    assert _traced_peak(lambda: certify_d3_impossible(family)) < 0.5e6
+
+
+def test_d4_lattice_memory_is_one_tuples_boxes(family4):
+    assert _traced_peak(lambda: lattice_deviations(family4, grid_deg=D4_GRID_DEG)) < 8e6
+
+
+@pytest.mark.parametrize("grid_deg", [0.0, -1.0, 720.0, 1000.0, math.nan, math.inf, -math.inf])
+def test_a_grid_with_no_lattice_is_refused_before_any_array(monkeypatch, grid_deg):
+    import kings.search
+
+    def gram_matrices(*args, **kwargs):
+        raise AssertionError("the selections were built")
+
+    monkeypatch.setattr(kings.search, "selection_grams", gram_matrices)
+    with pytest.raises(ValueError, match=f"grid_deg .* got {grid_deg!r}"):
+        lattice_deviations(construct_mub(3), grid_deg=grid_deg)
+    with pytest.raises(ValueError, match=f"grid_deg .* got {grid_deg!r}"):
+        certify_d3_impossible(construct_mub(3), grid_deg=grid_deg)

@@ -87,6 +87,31 @@ def test_repair_hungarian_agrees_with_brute_force(d, repeats):
             assert got == pytest.approx(best, abs=1e-12), (d, i)
 
 
+def test_a_mub_op_derives_each_overlap_tensor_once(monkeypatch):
+    """Build, exact success, the mirror and back, and a run's lowering share
+    one tensor per (family, control) pair: the strategy's and the mirror's,
+    plus the one build_strategy repairs with.  The derived tables are
+    read-only, and lowering leaves the cached prediction as it was."""
+    import kings.strategy
+    from kings.game import GameConfig, run
+
+    calls = []
+    monkeypatch.setattr(kings.strategy, "overlap_matrix",
+                        lambda *args: calls.append(1) or overlap_matrix(*args))
+    strat = random_strategy(construct_mub(5), 2, np.random.default_rng(5))
+    total = success_exact(strat).total
+    mirror = complement_strategy(strat)
+    mirror.success()
+    assert success_exact(complement_strategy(mirror)).total == total
+    prediction = strat.assignment.prediction.copy()
+    run(GameConfig(strategy=strat, trials=100, seed=0))
+    assert len(calls) == 3
+    assert (strat.assignment.prediction == prediction).all()
+    for table in (strat.overlaps, strat.assignment.forward, strat.assignment.bijective,
+                  strat.assignment.prediction):
+        assert not table.flags.writeable
+
+
 def test_assignment_map_inversion():
     fwd = np.full((4, 3), -1)
     fwd[1] = [2, 0, 1]
