@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=str, required=True, choices=tuple(_SIM_MODES))
     p.add_argument("--trials", type=int, default=100_000,
                    help="rounds to play; memory stays O(CHUNK), one 2^20-trial chunk at about "
-                        "4 B a trial, whatever the count")
+                        "1 B a trial, whatever the count")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_simulate)
 

@@ -6,14 +6,18 @@ protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
 once to a GameTables record (outcome distributions plus a prediction table in
 index space), and one sampling loop serves every kind.  Trials are drawn in
 chunks of CHUNK from one numpy PCG64 stream: per chunk the king's choices,
-then the king's uniforms, then the control uniforms.  Two inverse-CDF passes
-refine the choices in place into one int32 cell index BLOCK trials at a
-time, each block's uniforms drawn into one BLOCK buffer, so the stream is
-read in the same order as whole draws; a bincount of each block of the
-second pass counts its (choice, king outcome, control outcome) cells, and a
-boolean win table weights the cells into wins.
-Memory is O(CHUNK), about 4 B per trial, a seed pins the result bit for bit,
-and a run within one chunk reads the stream as one draw.
+then the king's uniforms, then the control uniforms.  The choices are drawn
+BLOCK at a time into one store of the narrowest unsigned type that holds a
+king-outcome cell (uint8 up to 256 cells, uint16 from d = 17 on).  Two
+inverse-CDF passes refine them BLOCK trials at a time, each block's uniforms
+drawn into one BLOCK buffer, so the stream is read in the same order as whole
+draws: the king's pass in place in the store, the control pass in a copy of
+the block in one int32 BLOCK buffer, whose bincount counts the block's
+(choice, king outcome, control outcome) cells; a boolean win table weights
+the cells into wins.
+Memory is O(CHUNK), about 1 B per trial (2 B from d = 17 on), a seed pins
+the result bit for bit, and a run within one chunk reads the stream as one
+draw.
 """
 
 from __future__ import annotations
@@ -182,17 +186,22 @@ def run(config: GameConfig) -> GameResult:
     first, control = np.cumsum(tables.first, axis=-1), np.cumsum(tables.control, axis=-1)
     counts = np.zeros(tables.control.size, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
-    u = np.empty(min(BLOCK, trials))
+    cells = np.empty(min(CHUNK, trials), np.min_scalar_type(first.size - 1))
+    u, index = np.empty(min(BLOCK, trials)), np.empty(min(BLOCK, trials), np.int32)
     for start in range(0, trials, CHUNK):
-        size = min(CHUNK, trials - start)
-        index = rng.integers(0, n_choices, size=size, dtype=np.int32)
-        for cdf in (first, control):  # c * n_out + o, then (c * n_out + o) * n_k + k
-            for b in range(0, size, BLOCK):
-                i = index[b:b + BLOCK]
-                _refine(i, rng.random(out=u[:len(i)]), cdf)
-                if cdf is control:  # per block: bincount copies int32 to intp
-                    counts += np.bincount(i, minlength=counts.size)
-        del index, i  # free the chunk and its last block view before the next draw
+        chunk = cells[:min(CHUNK, trials - start)]
+        blocks = range(0, chunk.size, BLOCK)
+        for b in blocks:  # bounded int32 draws keep the buffered 32-bit half: one whole draw
+            block = chunk[b:b + BLOCK]
+            block[:] = rng.integers(0, n_choices, size=block.size, dtype=np.int32)
+        for b in blocks:  # c * n_out + o, in place in the store
+            block = chunk[b:b + BLOCK]
+            _refine(block, rng.random(out=u[:block.size]), first)
+        for b in blocks:  # (c * n_out + o) * n_k + k, in the int32 buffer
+            block = index[:min(BLOCK, chunk.size - b)]
+            block[:] = chunk[b:b + BLOCK]
+            _refine(block, rng.random(out=u[:block.size]), control)
+            counts += np.bincount(block, minlength=counts.size)  # bincount copies to intp
     # win[c, o * n_k + k]: control outcome k calls king outcome o for choice c
     win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).reshape(n_choices, -1)
     played = counts.reshape(n_choices, -1)

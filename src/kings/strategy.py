@@ -296,6 +296,9 @@ def success_exact_general(
         raise ValueError("guessed and covered bases must partition the family")
     if set(guesses) != guess_bases:
         raise ValueError("need exactly one guessed state per guessed basis")
+    for g in guesses.values():
+        if g not in range(d):
+            raise ValueError(f"guessed state {g} is not a state index 0..{d - 1}")
     assignment.require_well_conditioned()
     p = np.abs(np.einsum("ijm,m->ij", family.array.conj(), np.asarray(preparation, dtype=complex))) ** 2
     o = overlap_matrix(family, control)
@@ -347,6 +350,9 @@ def complement_strategy(
         return copy.copy(strategy.source)  # checked when it was built
     prep = strategy.prep_basis
     d = strategy.family.dim
+    if control_state_index not in range(d):
+        raise ValueError(f"control_state_index {control_state_index} is not a state index "
+                         f"0..{d - 1}")
     guess_bases = frozenset(set(strategy.family.labels) - {prep})
     prediction = strategy.assignment.prediction
     guesses = {i: int(prediction[control_state_index, i]) for i in guess_bases}

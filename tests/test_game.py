@@ -182,12 +182,15 @@ def test_largest_count_table_equals_reference_sampler(trials):
 def test_odd_chunks_and_partial_blocks_read_the_reference_stream(monkeypatch):
     """With CHUNK = 63 and BLOCK = 8 every chunk ends in a partial block and
     every other chunk of choices leaves half of a 64-bit draw buffered; the
-    blocked draws must still read the stream as two whole draws a chunk."""
+    blocked draws must still read the stream as two whole draws a chunk.
+    d = 17 has 18 * 17 = 306 king-outcome cells, so its store is uint16."""
     monkeypatch.setattr(game, "CHUNK", 63)
     monkeypatch.setattr(game, "BLOCK", 8)
     rng = np.random.default_rng(77)
     d7 = random_strategy(construct_mub(7), int(rng.integers(8)), rng)
-    for strategy in [case[1] for case in _cases()] + [d7]:
+    d17 = random_strategy(construct_mub(17), int(rng.integers(18)), rng)
+    assert _lower(d17).first.size == 18 * 17
+    for strategy in [case[1] for case in _cases()] + [d7, d17]:
         for seed in range(10):
             config = GameConfig(strategy=strategy, trials=1_000, seed=seed)
             assert run(config) == _reference_run(config, chunk=63)
@@ -205,6 +208,9 @@ def test_run_accepts_numpy_integer_trial_counts():
 
 
 def _traced_peak(strategy, trials: int) -> int:
+    """Peak traced bytes of one run, after an untraced run has loaded
+    numpy.random and warmed the strategy's caches."""
+    run(GameConfig(strategy=strategy, trials=1, seed=1))
     tracemalloc.start()
     try:
         run(GameConfig(strategy=strategy, trials=trials, seed=1))
@@ -220,8 +226,9 @@ def test_memory_per_trial_of_one_chunk(name, strategy, exact, n_choices):
 
 @pytest.mark.parametrize("name, strategy, exact, n_choices", _cases())
 def test_memory_of_one_chunk_is_its_index_and_uniforms(name, strategy, exact, n_choices):
-    """A chunk holds one int32 index plus cache-sized blocks."""
-    assert _traced_peak(strategy, CHUNK) <= 5 * CHUNK
+    """A chunk holds one byte a trial in its cell store plus BLOCK-sized
+    buffers."""
+    assert _traced_peak(strategy, CHUNK) <= 2 * CHUNK
 
 
 def test_memory_stays_flat_beyond_one_chunk():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kings
 
 REPRODUCE = """
@@ -33,13 +35,6 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_reproduce_path_never_imports_scipy():
-    src = str(Path(kings.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
-                           + REPRODUCE], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
-
-
 REPAIR = """
 import sys
 import numpy as np
@@ -59,8 +54,20 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_repair_paths_never_import_scipy():
+@pytest.fixture(scope="module")
+def scipy_modules():
+    """One fresh interpreter runs the reproduce path, then the repair paths,
+    and prints the scipy modules loaded after each."""
     src = str(Path(kings.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
-                           + REPAIR], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+                           + REPRODUCE + REPAIR], capture_output=True, text=True, check=True)
+    after_reproduce, after_repair = proc.stdout.splitlines()
+    return after_reproduce, after_repair
+
+
+def test_reproduce_path_never_imports_scipy(scipy_modules):
+    assert scipy_modules[0] == "[]"
+
+
+def test_repair_paths_never_import_scipy(scipy_modules):
+    assert scipy_modules[1] == "[]"

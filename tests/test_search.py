@@ -430,12 +430,15 @@ def _reference_lattice(family, grid_deg):
 
 @pytest.mark.parametrize("d, grid_deg", [(3, 0.5), (3, 0.7), (3, 3.0), (3, 10.0), (3, 45.0),
                                          (3, 90.0), (3, 400.0), (4, 11.25), (4, 30.0), (4, 72.0)])
-def test_one_tuple_at_a_time_equals_the_all_tuple_engine(d, grid_deg):
+def test_one_tuple_at_a_time_equals_the_all_tuple_engine(request, d, grid_deg):
     """A tuple's pruning reads only its own least value, so running the tuples
     one by one changes no output, `evaluated` included."""
     family = construct_mub(d)
-    got = [(t.indices, t.deviation, t.angles, t.slack, t.evaluated)
-           for t in lattice_deviations(family, grid_deg=grid_deg)]
+    if (d, grid_deg) == (4, D4_GRID_DEG):  # the module's d = 4 lattice, built once
+        lattice = request.getfixturevalue("d4_lattice")
+    else:
+        lattice = lattice_deviations(family, grid_deg=grid_deg)
+    got = [(t.indices, t.deviation, t.angles, t.slack, t.evaluated) for t in lattice]
     assert got == _reference_lattice(family, grid_deg)
 
 

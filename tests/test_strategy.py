@@ -347,6 +347,20 @@ def test_complement_each_control_state_of_the_optimum():
         assert complement_strategy(strat, control_state_index=k).success() == pytest.approx(0.7, abs=1e-9)
 
 
+@pytest.mark.parametrize("index", [-1, 4])
+def test_state_indices_outside_the_dimension_are_refused(index):
+    """A control state or guessed state index out of 0..d-1 names itself
+    instead of wrapping round or raising a bare IndexError."""
+    strat = d4_optimal_strategy()
+    with pytest.raises(ValueError, match=f"control_state_index {index} is not a state index"):
+        complement_strategy(strat, control_state_index=index)
+    mirrored = complement_strategy(strat)
+    guesses = {**mirrored.guesses, min(mirrored.guesses): index}
+    with pytest.raises(ValueError, match=f"guessed state {index} is not a state index"):
+        success_exact_general(mirrored.family, mirrored.preparation, mirrored.guess_bases,
+                              guesses, mirrored.control, mirrored.assignment)
+
+
 def test_complement_needs_source():
     strat = d2_optimal_strategy()
     mirrored = complement_strategy(strat)
