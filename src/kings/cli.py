@@ -189,7 +189,7 @@ def _load_control(source: str, d: int):
         if not isinstance(obj, dict):
             raise TypeError("the top level is not a JSON object")
         return basis_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"malformed control basis file {source}: {exc}") from exc
 
 

@@ -5,11 +5,13 @@ diagonals of a cube.  With the object maximally entangled with an ancilla the
 joint state admits one product decomposition per diagonal (the partner leg is
 the diagonal's mirror image in the x-z plane), and a single entangled
 measurement basis (the VAA basis) retrodicts the king's sign with probability
-(2 + sqrt(3)) / 4.  The best ancilla-free protocol instead prepares spin-up
-along the first diagonal and measures along one control direction.  Its
-optimum is exact: the best direction is the longest signed sum of the other
-three diagonals, which reaches (15 + sqrt(33)) / 24 on three degenerate axes,
-and a Cauchy-Schwarz bound that the optimum meets certifies it.
+(2 + sqrt(3)) / 4, every table of it read off the eight collapsed joint
+states.  The best ancilla-free protocol instead prepares spin-up along the
+first diagonal and measures along one control direction m; its tables follow
+from the dot products n_a . m by the Born rule |<a|b>|^2 = (1 + a . b) / 2.
+Its optimum is exact: the best direction is the longest signed sum of the
+other three diagonals, which reaches (15 + sqrt(33)) / 24 on three degenerate
+axes, and a Cauchy-Schwarz bound that the optimum meets certifies it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ def king_collapse(setup: CubeGameSetup, diagonal: int, sign: int) -> np.ndarray:
     )
 
 
+_ROW_ORDER: list[tuple[int, int]] = [(a, s) for a in range(4) for s in (1, -1)]
+
+
+def collapsed_states(setup: CubeGameSetup) -> np.ndarray:
+    """The eight collapsed joint states as rows, in collapse_row_labels order."""
+    return np.array([king_collapse(setup, a, s) for a, s in _ROW_ORDER])
+
+
 def verify_bell_decompositions(setup: CubeGameSetup) -> dict[int, float]:
     """Ray-equality defects of the four product decompositions of the pair.
 
@@ -82,17 +92,13 @@ def verify_bell_decompositions(setup: CubeGameSetup) -> dict[int, float]:
     | |<bell|candidate>| - 1 | per diagonal and raises if any exceeds the
     comparison tolerance.
     """
-    defects: dict[int, float] = {}
-    for a in range(4):
-        candidate = (king_collapse(setup, a, +1) + king_collapse(setup, a, -1)) / np.sqrt(2)
-        defects[a] = float(abs(abs(np.vdot(setup.bell, candidate)) - 1.0))
+    pairs = collapsed_states(setup).reshape(4, 2, 4)
+    defects = {a: float(abs(abs(np.vdot(setup.bell, (p[0] + p[1]) / np.sqrt(2))) - 1.0))
+               for a, p in enumerate(pairs)}
     bad = {a: v for a, v in defects.items() if not v <= DEFAULT.comparison}
     if bad:
         raise ValueError(f"decomposition defects exceed {DEFAULT.comparison}: {bad}")
     return defects
-
-
-_ROW_ORDER: list[tuple[int, int]] = [(a, s) for a in range(4) for s in (1, -1)]
 
 
 def collapse_row_labels() -> list[str]:
@@ -105,35 +111,35 @@ def collapse_row_labels() -> list[str]:
     return labels
 
 
-def vaa_overlap_table(setup: CubeGameSetup) -> np.ndarray:
-    """8 x 4 Born matrix: collapsed joint states (rows) vs VAA states.
+def vaa_tables(setup: CubeGameSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, overlap, prediction) of the VAA protocol from one array of the
+    eight collapsed joint states; signs +1 index 0 and -1 index 1.
 
-    Rows pair up per diagonal (+ then -), columns follow the VAA ordering;
-    every row sums to 1.
+    first[a, s] = |<collapse(a, s)|bell>|^2; overlap[2a + s, k] is the Born
+    weight of VAA outcome k after that collapse; prediction[k, a] the likelier
+    sign along diagonal a given VAA outcome k (+1 on a tie).
     """
-    rows = np.array([king_collapse(setup, a, s) for a, s in _ROW_ORDER])
-    return np.abs(rows.conj() @ setup.vaa.states.T) ** 2
+    bras = collapsed_states(setup).conj()
+    overlap = np.abs(bras @ setup.vaa.states.T) ** 2
+    prediction = np.where(overlap[0::2] >= overlap[1::2], 1, -1).T
+    return (np.abs(bras @ setup.bell) ** 2).reshape(4, 2), overlap, prediction
 
 
-def _calls(t: np.ndarray) -> np.ndarray:
-    """calls[a, k]: the sign whose row of diagonal a weighs more on outcome k (+1 on a tie)."""
-    return np.where(t[0::2] >= t[1::2], 1, -1)
+def vaa_overlap_table(setup: CubeGameSetup) -> np.ndarray:
+    """8 x 4 Born matrix: collapsed joint states (rows) vs VAA states."""
+    return vaa_tables(setup)[1]
 
 
 def vaa_prediction_table(setup: CubeGameSetup) -> np.ndarray:
-    """Majority-likelihood prediction rule read off the overlap table.
-
-    table[k, a] is +1 or -1: the likelier king outcome along diagonal a
-    given VAA outcome k.
-    """
-    return _calls(vaa_overlap_table(setup)).T
+    """table[k, a]: the sign vaa_tables calls along diagonal a on VAA outcome k."""
+    return vaa_tables(setup)[2]
 
 
 def wrong_prediction_mass(setup: CubeGameSetup) -> np.ndarray:
     """Per collapsed state, the Born mass landing on wrong-prediction outcomes."""
-    t = vaa_overlap_table(setup)
+    _, t, prediction = vaa_tables(setup)
     signs = np.array([s for _, s in _ROW_ORDER])
-    wrong = np.repeat(_calls(t), 2, axis=0) != signs[:, None]
+    wrong = np.repeat(prediction.T, 2, axis=0) != signs[:, None]
     return np.where(wrong, t, 0.0).sum(axis=1)
 
 
@@ -145,6 +151,16 @@ def vaa_success_exact(setup: CubeGameSetup) -> float:
 # --- ancilla-free (conventional) protocol ----------------------------------
 
 
+def diagonal_dots(setup: CubeGameSetup, direction: np.ndarray) -> np.ndarray:
+    """n_a . m per diagonal after the one check of a direction m (a 3-vector
+    of unit length; a NaN fails), clipped to [-1, 1]: n_1 . n_1 rounds to
+    1 + 2^-52, which would make the Born weight (1 - a . b) / 2 negative."""
+    m = np.asarray(direction, dtype=float)
+    if m.shape != (3,) or not abs(np.linalg.norm(m) - 1.0) <= DEFAULT.construction:
+        raise ValueError(f"direction must be a unit length 3-vector, got {m.tolist()!r}")
+    return (setup.diagonals @ m).clip(-1.0, 1.0)
+
+
 def conventional_cube_value(setup: CubeGameSetup, direction: np.ndarray) -> float:
     """Success of the best decision rule for control direction m.
 
@@ -154,8 +170,7 @@ def conventional_cube_value(setup: CubeGameSetup, direction: np.ndarray) -> floa
     control outcome is tied to which sign, because the collapse and the rule
     flip signs together.
     """
-    m = np.asarray(direction, dtype=float)
-    dots = setup.diagonals[1:] @ m
+    dots = diagonal_dots(setup, direction)[1:]
     return float(0.25 + 0.25 * np.sum((1.0 + np.abs(dots)) / 2.0))
 
 
@@ -165,10 +180,22 @@ def conventional_cube_rule(setup: CubeGameSetup, direction: np.ndarray) -> dict[
     Diagonal 0 is the preparation diagonal and is always called +1; the -
     outcome predicts the opposite sign of the + outcome elsewhere.
     """
-    rule = {0: 1}
-    for a in range(1, 4):
-        rule[a] = 1 if float(setup.diagonals[a] @ direction) >= 0 else -1
-    return rule
+    dots = diagonal_dots(setup, direction)
+    return {a: 1 if a == 0 or dots[a] >= 0 else -1 for a in range(4)}
+
+
+def conventional_cube_tables(setup: CubeGameSetup, direction: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, control, prediction) of the ancilla-free protocol for direction
+    m by the spin-1/2 Born rule; signs +1 index 0 and -1 index 1.
+
+    first[a, s] = (1 + s n_a . n_1) / 2; control[2a + s, t] = (1 + s t n_a . m) / 2;
+    prediction[k, a] is the rule's sign on k = +, flipped off diagonal 0 on k = -.
+    """
+    first = (1 + np.outer(diagonal_dots(setup, setup.diagonals[0]), [1, -1])) / 2
+    control = (1 + np.outer(np.outer(diagonal_dots(setup, direction), [1, -1]), [1, -1])) / 2
+    plus = np.array(list(conventional_cube_rule(setup, direction).values()))  # keys 0..3
+    return first, control, np.array([plus, plus * [1, -1, -1, -1]])
 
 
 def conventional_baseline(setup: CubeGameSetup) -> float:

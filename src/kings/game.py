@@ -4,17 +4,17 @@ run() simulates full rounds (king's choice, Born-rule collapse, control
 measurement, prediction) for a conventional MUB strategy, the VAA cube
 protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
 once to a GameTables record (outcome distributions plus a prediction table in
-index space), and one sampling loop serves every kind.  Trials are drawn in
-chunks of CHUNK from one numpy PCG64 stream: per chunk the king's choices,
-then the king's uniforms, then the control uniforms.  The choices are drawn
-BLOCK at a time into one store of the narrowest unsigned type that holds a
-king-outcome cell (uint8 up to 256 cells, uint16 from d = 17 on).  Two
-inverse-CDF passes refine them BLOCK trials at a time, each block's uniforms
-drawn into one BLOCK buffer, so the stream is read in the same order as whole
-draws: the king's pass in place in the store, the control pass in a copy of
-the block in one int32 BLOCK buffer, whose bincount counts the block's
-(choice, king outcome, control outcome) cells; a boolean win table weights
-the cells into wins.
+index space; kings.cube derives a cube protocol's), and one sampling loop
+serves every kind.  Trials are drawn in chunks of CHUNK from one numpy PCG64
+stream: per chunk the king's choices, then the king's uniforms, then the
+control uniforms.  The choices are drawn BLOCK at a time into one store of
+the narrowest unsigned type that holds a king-outcome cell (uint8 up to 256
+cells, uint16 from d = 17 on).  Two inverse-CDF passes refine them BLOCK
+trials at a time, each block's uniforms drawn into one BLOCK buffer, so the
+stream is read in the same order as whole draws: the king's pass in place in
+the store, the control pass in a copy of the block in one int32 BLOCK buffer,
+whose bincount counts the block's (choice, king outcome, control outcome)
+cells; a boolean win table weights the cells into wins.
 Memory is O(CHUNK), about 1 B per trial (2 B from d = 17 on), a seed pins
 the result bit for bit, and a run within one chunk reads the stream as one
 draw.
@@ -28,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT
-from .cube import (
-    CubeGameSetup,
-    conventional_cube_rule,
-    king_collapse,
-    vaa_overlap_table,
-    vaa_prediction_table,
-)
-from .qstate import spin_up_state
+from .cube import CubeGameSetup, conventional_cube_tables, vaa_tables
 from .strategy import ConventionalStrategy
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -46,7 +39,7 @@ BLOCK = 1 << 14
 @dataclass
 class CubeVaaStrategy:
     """Entangled-pair cube protocol: the VAA measurement, read by the
-    majority-likelihood rule vaa_prediction_table derives from the setup."""
+    majority-likelihood rule vaa_tables derives from the setup."""
 
     setup: CubeGameSetup
 
@@ -109,10 +102,6 @@ def _check_probs(p: np.ndarray) -> np.ndarray:
     return p / s
 
 
-def _sign_index(signs: np.ndarray) -> np.ndarray:
-    return (1 - np.asarray(signs, dtype=int)) // 2
-
-
 def _lower_mub(s: ConventionalStrategy) -> GameTables:
     family, d = s.family, s.family.dim
     first = np.abs(np.einsum("ijm,m->ij", family.array.conj(), s.preparation)) ** 2
@@ -122,37 +111,10 @@ def _lower_mub(s: ConventionalStrategy) -> GameTables:
     return GameTables(f"mub-d{d}", _check_probs(first), _check_probs(control), predict)
 
 
-def _lower_cube_vaa(s: CubeVaaStrategy) -> GameTables:
-    setup = s.setup
-    first = np.empty((4, 2))
-    for a in range(4):
-        # Born weights of the two collapse branches of the shared pair
-        bra = np.array([king_collapse(setup, a, 1), king_collapse(setup, a, -1)])
-        first[a] = np.abs(bra.conj() @ setup.bell) ** 2
-    control = vaa_overlap_table(setup)
-    return GameTables("cube-vaa", _check_probs(first), _check_probs(control),
-                      _sign_index(vaa_prediction_table(setup)))
-
-
-def _lower_cube_conventional(s: CubeConventionalStrategy) -> GameTables:
-    setup = s.setup
-    prep = spin_up_state(setup.diagonals[0])
-    plus = spin_up_state(s.direction)
-    minus = spin_up_state(-np.asarray(s.direction))
-    first = np.empty((4, 2))
-    control = np.empty((8, 2))
-    for a in range(4):
-        for si, sign in enumerate((1, -1)):
-            state = spin_up_state(sign * setup.diagonals[a])
-            first[a, si] = abs(np.vdot(state, prep)) ** 2
-            control[2 * a + si] = (abs(np.vdot(plus, state)) ** 2,
-                                   abs(np.vdot(minus, state)) ** 2)
-    # control outcome 0 (+) calls the rule's sign; 1 (-) flips it off diagonal 0
-    rule = conventional_cube_rule(setup, s.direction)
-    signs = np.array([[rule[a] for a in range(4)],
-                      [rule[a] if a == 0 else -rule[a] for a in range(4)]])
-    return GameTables("cube-conventional", _check_probs(first), _check_probs(control),
-                      _sign_index(signs))
+def _lower_cube(mode: str, first: np.ndarray, control: np.ndarray,
+                predict: np.ndarray) -> GameTables:
+    """Wrap a cube protocol's tables from kings.cube, signs +1 -> 0 and -1 -> 1."""
+    return GameTables(mode, _check_probs(first), _check_probs(control), (1 - predict) // 2)
 
 
 def _lower(strategy: Strategy) -> GameTables:
@@ -160,9 +122,10 @@ def _lower(strategy: Strategy) -> GameTables:
     if isinstance(strategy, ConventionalStrategy):
         return _lower_mub(strategy)
     if isinstance(strategy, CubeVaaStrategy):
-        return _lower_cube_vaa(strategy)
+        return _lower_cube("cube-vaa", *vaa_tables(strategy.setup))
     if isinstance(strategy, CubeConventionalStrategy):
-        return _lower_cube_conventional(strategy)
+        return _lower_cube("cube-conventional",
+                           *conventional_cube_tables(strategy.setup, strategy.direction))
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 

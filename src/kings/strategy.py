@@ -162,6 +162,11 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     return AssignmentMap(forward)
 
 
+def _is_index(value: object, indices: range) -> bool:
+    """value lies in indices and is no bool, although True == 1."""
+    return not isinstance(value, (bool, np.bool_)) and value in indices
+
+
 def _require_orthonormal(control: OrthonormalBasis) -> None:
     """Reject a control basis whose Gram matrix is off the identity, or NaN."""
     if not control.defect <= DEFAULT.construction:  # a NaN defect fails too
@@ -179,10 +184,10 @@ class ConventionalStrategy:
     assignment: AssignmentMap
 
     def __post_init__(self) -> None:
-        if self.prep_basis not in self.family.labels:
+        if not _is_index(self.prep_basis, self.family.labels):
             raise ValueError(f"prep_basis {self.prep_basis} is not a basis label "
                              f"0..{self.family.dim}")
-        if self.prep_index not in range(self.family.dim):
+        if not _is_index(self.prep_index, range(self.family.dim)):
             raise ValueError(f"prep_index {self.prep_index} is not a state index "
                              f"0..{self.family.dim - 1}")
         _require_orthonormal(self.control)
@@ -297,7 +302,7 @@ def success_exact_general(
     if set(guesses) != guess_bases:
         raise ValueError("need exactly one guessed state per guessed basis")
     for g in guesses.values():
-        if g not in range(d):
+        if not _is_index(g, range(d)):
             raise ValueError(f"guessed state {g} is not a state index 0..{d - 1}")
     assignment.require_well_conditioned()
     p = np.abs(np.einsum("ijm,m->ij", family.array.conj(), np.asarray(preparation, dtype=complex))) ** 2
@@ -350,7 +355,7 @@ def complement_strategy(
         return copy.copy(strategy.source)  # checked when it was built
     prep = strategy.prep_basis
     d = strategy.family.dim
-    if control_state_index not in range(d):
+    if not _is_index(control_state_index, range(d)):
         raise ValueError(f"control_state_index {control_state_index} is not a state index "
                          f"0..{d - 1}")
     guess_bases = frozenset(set(strategy.family.labels) - {prep})

@@ -145,7 +145,7 @@ def test_eval_missing_control_file(capsys):
 
 def test_eval_malformed_control_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    for content in ('{"states": "oops"}', "{not json", "[1, 2]"):
+    for content in ('{"states": "oops"}', "{not json", "[1, 2]", "[" * 100_000):
         bad.write_text(content)
         code, _, err = run_cli(capsys, "eval", "--d", "2", "--control", str(bad))
         assert code == 2

@@ -12,6 +12,7 @@ from kings import game
 from kings.cube import (
     conventional_cube_rule,
     conventional_cube_value,
+    king_collapse,
     make_cube_setup,
     vaa_prediction_table,
     vaa_success_exact,
@@ -20,6 +21,7 @@ from kings.game import (
     BLOCK,
     CHUNK,
     CubeConventionalStrategy,
+    CubeVaaStrategy,
     GameConfig,
     GameResult,
     _check_probs,
@@ -34,6 +36,7 @@ from kings.presets import (
     d2_optimal_strategy,
     d4_optimal_strategy,
 )
+from kings.qstate import spin_up_state
 from kings.strategy import random_strategy, success_exact
 from kings.verify import ACCEPTANCE_SEED
 
@@ -306,3 +309,79 @@ def test_cube_lowering_derives_the_sign_rules():
     assert abs(result.estimate - conventional_cube_value(setup, m)) < 5 * result.stderr
     with pytest.raises(ValueError, match="unit length"):
         _lower(CubeConventionalStrategy(setup=setup, direction=2 * m))
+
+
+@pytest.mark.parametrize("direction", [[0, 0, 10], [np.nan, 0, 1], [0, 0, 0], [0, 0, 1, 0]])
+def test_cube_directions_off_the_unit_sphere_are_refused(direction):
+    """The value, the rule and the lowering share one check of the direction."""
+    setup = make_cube_setup()
+    strategy = CubeConventionalStrategy(setup=setup, direction=np.array(direction, dtype=float))
+    for call in (lambda: conventional_cube_value(setup, direction),
+                 lambda: conventional_cube_rule(setup, direction), lambda: _lower(strategy)):
+        with pytest.raises(ValueError, match="unit length"):
+            call()
+
+
+def _state_vector_tables(strategy) -> tuple[np.ndarray, np.ndarray]:
+    """The state-vector construction of a cube protocol's first and control
+    tables, which the Bloch-vector and collapsed-state forms replaced."""
+    setup = strategy.setup
+    first = np.empty((4, 2))
+    if isinstance(strategy, CubeVaaStrategy):
+        for a in range(4):
+            bra = np.array([king_collapse(setup, a, 1), king_collapse(setup, a, -1)])
+            first[a] = np.abs(bra.conj() @ setup.bell) ** 2
+        rows = np.array([king_collapse(setup, a, s) for a in range(4) for s in (1, -1)])
+        return first, np.abs(rows.conj() @ setup.vaa.states.T) ** 2
+    prep = spin_up_state(setup.diagonals[0])
+    plus, minus = spin_up_state(strategy.direction), spin_up_state(-strategy.direction)
+    control = np.empty((8, 2))
+    for a in range(4):
+        for si, sign in enumerate((1, -1)):
+            state = spin_up_state(sign * setup.diagonals[a])
+            first[a, si] = abs(np.vdot(state, prep)) ** 2
+            control[2 * a + si] = (abs(np.vdot(plus, state)) ** 2,
+                                   abs(np.vdot(minus, state)) ** 2)
+    return first, control
+
+
+def test_cube_tables_equal_their_state_vector_construction():
+    """The VAA tables are bit for bit the state-vector ones.  The ancilla-free
+    closed form agrees within 1e-15, and its clip keeps a direction along a
+    diagonal, where n_a . n_a rounds above 1, free of negative weights."""
+    vaa = cube_vaa_strategy()
+    first, control = _state_vector_tables(vaa)
+    tables = _lower(vaa)
+    assert (tables.first == _check_probs(first)).all()
+    assert (tables.control == _check_probs(control)).all()
+    setup = vaa.setup
+    rng = np.random.default_rng(2024)
+    directions = [cube_conventional_strategy().direction, *setup.diagonals, *-setup.diagonals,
+                  *(v / np.linalg.norm(v) for v in rng.normal(size=(100, 3)))]
+    for m in directions:
+        strategy = CubeConventionalStrategy(setup=setup, direction=m)
+        first, control = _state_vector_tables(strategy)
+        tables = _lower(strategy)
+        assert np.abs(tables.first - _check_probs(first)).max() <= 1e-15
+        assert np.abs(tables.control - _check_probs(control)).max() <= 1e-15
+    for tables in (_lower(vaa), *(_lower(CubeConventionalStrategy(setup, m)) for m in directions)):
+        assert (tables.first >= 0).all() and (tables.control >= 0).all()
+
+
+def test_cube_lowerings_build_no_spin_state_and_each_collapse_once(monkeypatch):
+    """The ancilla-free lowering works from dot products alone, and the VAA
+    lowering builds each of the eight collapsed joint states once."""
+    import kings.cube
+
+    spins, collapses = [], []
+    for module in (kings.cube, game):
+        monkeypatch.setattr(module, "spin_up_state",
+                            lambda n: spins.append(1) or spin_up_state(n), raising=False)
+        monkeypatch.setattr(module, "king_collapse",
+                            lambda *args: collapses.append(1) or king_collapse(*args),
+                            raising=False)
+    conv, vaa = cube_conventional_strategy(), cube_vaa_strategy()
+    _lower(conv)
+    assert len(spins) == 0
+    _lower(vaa)
+    assert len(collapses) == 8

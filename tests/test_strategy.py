@@ -255,7 +255,8 @@ def test_strategy_rejects_a_nan_control(d):
         dataclasses.replace(build_strategy(family, 0, 0, control), control=nan_control)
 
 
-@pytest.mark.parametrize("prep_basis, prep_index", [(5, 0), (-1, 0), (0, 4), (0, -1)])
+@pytest.mark.parametrize("prep_basis, prep_index",
+                         [(5, 0), (-1, 0), (0, 4), (0, -1), (True, 0), (0, True)])
 def test_strategy_rejects_out_of_range_preparation(prep_basis, prep_index):
     family = construct_mub(4)
     control = d4_optimal_strategy().control
@@ -347,7 +348,7 @@ def test_complement_each_control_state_of_the_optimum():
         assert complement_strategy(strat, control_state_index=k).success() == pytest.approx(0.7, abs=1e-9)
 
 
-@pytest.mark.parametrize("index", [-1, 4])
+@pytest.mark.parametrize("index", [-1, 4, True])
 def test_state_indices_outside_the_dimension_are_refused(index):
     """A control state or guessed state index out of 0..d-1 names itself
     instead of wrapping round or raising a bare IndexError."""
