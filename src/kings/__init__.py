@@ -22,7 +22,6 @@ from .bounds import (
     relaxed_f_max,
     total_bound,
 )
-from .config import DEFAULT, Tolerances
 from .cube import (
     CubeConventionalResult,
     CubeGameSetup,
@@ -91,8 +90,6 @@ __all__ = [
     # bounds
     "BoundReport", "RelaxedMaximum", "bound_p", "bound_report", "control_bound",
     "guess_bound", "overlap_target", "relaxed_f_max", "total_bound",
-    # config
-    "DEFAULT", "Tolerances",
     # cube
     "CubeConventionalResult", "CubeGameSetup",
     "collapse_row_labels", "conventional_baseline", "conventional_cube_optimize",

@@ -18,6 +18,7 @@ d * overlap_target(d) ceiling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,14 @@ def _check_dim(d: int) -> None:
 def bound_p(d: int) -> float:
     """Upper bound on the success of a conventional strategy in dimension d."""
     _check_dim(d)
-    rd = np.sqrt(d)
+    rd = math.sqrt(d)
     return float((2 * rd + d - 1) / (rd * (1 + d)))
 
 
 def overlap_target(d: int) -> float:
     """The squared overlap each signal state needs to saturate bound_p."""
     _check_dim(d)
-    rd = np.sqrt(d)
+    rd = math.sqrt(d)
     return float((rd + d - 1) / (d * rd))
 
 
@@ -48,7 +49,7 @@ def _split_mass(d: int, k: int, name: str) -> float:
     _check_dim(d)
     if not 0 <= k <= d + 1:
         raise ValueError(f"{name} must lie in 0..{d + 1}, got {k}")
-    rd = np.sqrt(d)
+    rd = math.sqrt(d)
     return 0.0 if k == 0 else float((rd + k - 1) / (rd * (d + 1)))
 
 

@@ -25,7 +25,7 @@ from typing import Any, NoReturn
 
 from . import __version__
 from .bounds import bound_report, overlap_target, relaxed_f_max
-from .config import DEFAULT
+from .config import CONSTRUCTION_TOL, COMPARISON_TOL
 from .cube import (
     collapse_row_labels,
     conventional_baseline,
@@ -81,8 +81,8 @@ def make_manifest(command: str, parameters: dict[str, Any], *, seed: int | None 
         seed=seed,
         version=__version__,
         tolerances={
-            "construction": DEFAULT.construction,
-            "comparison": tolerance if tolerance is not None else DEFAULT.comparison,
+            "construction": CONSTRUCTION_TOL,
+            "comparison": tolerance if tolerance is not None else COMPARISON_TOL,
         },
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

@@ -1,21 +1,9 @@
-"""Central numerical tolerances."""
+"""Central numerical tolerances.
 
-from __future__ import annotations
+CONSTRUCTION_TOL bounds defects in objects the library builds itself (norms,
+orthogonality); COMPARISON_TOL is the looser bound used when checking derived
+quantities against expected values.
+"""
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerances shared across the package.
-
-    construction bounds defects in objects the library builds itself
-    (norms, orthogonality); comparison is the looser bound used when
-    checking derived quantities against expected values.
-    """
-
-    construction: float = 1e-12
-    comparison: float = 1e-10
-
-
-DEFAULT = Tolerances()
+CONSTRUCTION_TOL = 1e-12
+COMPARISON_TOL = 1e-10

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import CONSTRUCTION_TOL, COMPARISON_TOL
 from .mub import OrthonormalBasis
 from .qstate import spin_up_state, tensor
 
@@ -56,7 +56,7 @@ def make_cube_setup() -> CubeGameSetup:
         [0, eb, e, r2],
         [0, -eb, -e, r2],
     ]))
-    if not vaa.defect <= DEFAULT.construction:
+    if not vaa.defect <= CONSTRUCTION_TOL:
         raise ValueError(f"VAA basis defect {vaa.defect:g}")
     return CubeGameSetup(diagonals=diagonals, bell=bell, vaa=vaa)
 
@@ -95,9 +95,9 @@ def verify_bell_decompositions(setup: CubeGameSetup) -> dict[int, float]:
     pairs = collapsed_states(setup).reshape(4, 2, 4)
     defects = {a: float(abs(abs(np.vdot(setup.bell, (p[0] + p[1]) / np.sqrt(2))) - 1.0))
                for a, p in enumerate(pairs)}
-    bad = {a: v for a, v in defects.items() if not v <= DEFAULT.comparison}
+    bad = {a: v for a, v in defects.items() if not v <= COMPARISON_TOL}
     if bad:
-        raise ValueError(f"decomposition defects exceed {DEFAULT.comparison}: {bad}")
+        raise ValueError(f"decomposition defects exceed {COMPARISON_TOL}: {bad}")
     return defects
 
 
@@ -156,7 +156,7 @@ def diagonal_dots(setup: CubeGameSetup, direction: np.ndarray) -> np.ndarray:
     of unit length; a NaN fails), clipped to [-1, 1]: n_1 . n_1 rounds to
     1 + 2^-52, which would make the Born weight (1 - a . b) / 2 negative."""
     m = np.asarray(direction, dtype=float)
-    if m.shape != (3,) or not abs(np.linalg.norm(m) - 1.0) <= DEFAULT.construction:
+    if m.shape != (3,) or not abs(np.linalg.norm(m) - 1.0) <= CONSTRUCTION_TOL:
         raise ValueError(f"direction must be a unit length 3-vector, got {m.tolist()!r}")
     return (setup.diagonals @ m).clip(-1.0, 1.0)
 

@@ -7,17 +7,18 @@ once to a GameTables record (outcome distributions plus a prediction table in
 index space; kings.cube derives a cube protocol's), and one sampling loop
 serves every kind.  Trials are drawn in chunks of CHUNK from one numpy PCG64
 stream: per chunk the king's choices, then the king's uniforms, then the
-control uniforms.  The choices are drawn BLOCK at a time into one store of
-the narrowest unsigned type that holds a king-outcome cell (uint8 up to 256
-cells, uint16 from d = 17 on).  Two inverse-CDF passes refine them BLOCK
-trials at a time, each block's uniforms drawn into one BLOCK buffer, so the
-stream is read in the same order as whole draws: the king's pass in place in
-the store, the control pass in a copy of the block in one int32 BLOCK buffer,
-whose bincount counts the block's (choice, king outcome, control outcome)
-cells; a boolean win table weights the cells into wins.
-Memory is O(CHUNK), about 1 B per trial (2 B from d = 17 on), a seed pins
-the result bit for bit, and a run within one chunk reads the stream as one
-draw.
+control uniforms.  Each run keeps one cell store of the narrowest unsigned
+type that holds its last (choice, king outcome, control outcome) cell: uint8
+up to 256 cells, uint16 up to 65,536.  The choices are drawn into it BLOCK at
+a time, and two inverse-CDF passes refine it in place BLOCK trials at a time,
+each block's uniforms drawn into one BLOCK buffer, so the stream is read in
+the same order as whole draws: the king's pass turns choice c into
+c * n_out + o, the control pass into (c * n_out + o) * n_k + k, and no index
+on the way exceeds the last cell.  Each block's bincount then tallies its
+cells, and a boolean win table weights the cells into wins.
+Memory is O(CHUNK) with no int32 buffer, 1 B per trial up to 256 cells and
+2 B up to 65,536 cells; a seed pins the result bit for bit, and a run within
+one chunk reads the stream as one draw.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import COMPARISON_TOL
 from .cube import CubeGameSetup, conventional_cube_tables, vaa_tables
 from .strategy import ConventionalStrategy
 
@@ -97,7 +98,7 @@ class GameTables:
 def _check_probs(p: np.ndarray) -> np.ndarray:
     """Renormalize a Born distribution, rejecting real corruption."""
     s = p.sum(axis=-1, keepdims=True)
-    if not np.all(np.abs(s - 1.0) <= DEFAULT.comparison):  # a NaN sum fails too
+    if not np.all(np.abs(s - 1.0) <= COMPARISON_TOL):  # a NaN sum fails too
         raise ValueError(f"outcome probabilities sum to {s.ravel()!r}, not 1")
     return p / s
 
@@ -149,20 +150,16 @@ def run(config: GameConfig) -> GameResult:
     first, control = np.cumsum(tables.first, axis=-1), np.cumsum(tables.control, axis=-1)
     counts = np.zeros(tables.control.size, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
-    cells = np.empty(min(CHUNK, trials), np.min_scalar_type(first.size - 1))
-    u, index = np.empty(min(BLOCK, trials)), np.empty(min(BLOCK, trials), np.int32)
+    cells = np.empty(min(CHUNK, trials), np.min_scalar_type(counts.size - 1))
+    u = np.empty(min(BLOCK, trials))
     for start in range(0, trials, CHUNK):
         chunk = cells[:min(CHUNK, trials - start)]
-        blocks = range(0, chunk.size, BLOCK)
-        for b in blocks:  # bounded int32 draws keep the buffered 32-bit half: one whole draw
-            block = chunk[b:b + BLOCK]
+        blocks = [chunk[b:b + BLOCK] for b in range(0, chunk.size, BLOCK)]
+        for block in blocks:  # bounded int32 draws keep the buffered 32-bit half: one whole draw
             block[:] = rng.integers(0, n_choices, size=block.size, dtype=np.int32)
-        for b in blocks:  # c * n_out + o, in place in the store
-            block = chunk[b:b + BLOCK]
+        for block in blocks:  # c -> c * n_out + o
             _refine(block, rng.random(out=u[:block.size]), first)
-        for b in blocks:  # (c * n_out + o) * n_k + k, in the int32 buffer
-            block = index[:min(BLOCK, chunk.size - b)]
-            block[:] = chunk[b:b + BLOCK]
+        for block in blocks:  # -> (c * n_out + o) * n_k + k, never above the last cell
             _refine(block, rng.random(out=u[:block.size]), control)
             counts += np.bincount(block, minlength=counts.size)  # bincount copies to intp
     # win[c, o * n_k + k]: control outcome k calls king outcome o for choice c

@@ -15,13 +15,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import COMPARISON_TOL
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % p for p in range(2, int(n**0.5) + 1))
+
+
+def _is_index(value: object, indices: range) -> bool:
+    """value lies in indices and is no bool, although True == 1."""
+    return not isinstance(value, (bool, np.bool_)) and value in indices
 
 
 @dataclass
@@ -92,7 +97,7 @@ def selection_grams(family: MubFamily, excluded: int = 0) -> tuple[list[tuple[in
     grams[t, m, k] = <pick m | pick k>.  Raises ValueError if `excluded` is
     no basis label or d^d > 5^5 (d >= 7), before any array is built.
     """
-    if excluded not in family.labels:
+    if not _is_index(excluded, family.labels):
         raise ValueError(f"excluded must be a basis label 0..{family.dim}, got {excluded!r}")
     d = family.dim
     if d ** d > 5 ** 5:
@@ -198,7 +203,7 @@ def certify_family(family: MubFamily, *, atol: float | None = None) -> Certifica
     row, column) order: ties go to the first location, and a NaN deviation,
     worst of all, is reported with its location and fails the family.
     """
-    atol = DEFAULT.comparison if atol is None else atol
+    atol = COMPARISON_TOL if atol is None else atol
     d = family.dim
     states = family.array
     orth = np.abs(states.conj() @ states.transpose(0, 2, 1) - np.eye(d))

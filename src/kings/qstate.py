@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import CONSTRUCTION_TOL
 
 Array = np.ndarray
 
@@ -31,7 +31,7 @@ def spin_up_state(direction: Sequence[float] | Array) -> Array:
     if n.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {n.shape}")
     norm = float(np.linalg.norm(n))
-    if not abs(norm - 1.0) <= DEFAULT.construction:
+    if not abs(norm - 1.0) <= CONSTRUCTION_TOL:
         raise ValueError(f"direction must be unit length, norm = {norm!r}")
     theta = np.arccos(np.clip(n[2], -1.0, 1.0))
     phi = np.arctan2(n[1], n[0])

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mub import MubFamily, OrthonormalBasis
-from .config import DEFAULT
+from .mub import MubFamily, OrthonormalBasis, _is_index
+from .config import CONSTRUCTION_TOL
 
 
 def overlap_matrix(family: MubFamily, control: OrthonormalBasis) -> np.ndarray:
@@ -162,14 +162,9 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     return AssignmentMap(forward)
 
 
-def _is_index(value: object, indices: range) -> bool:
-    """value lies in indices and is no bool, although True == 1."""
-    return not isinstance(value, (bool, np.bool_)) and value in indices
-
-
 def _require_orthonormal(control: OrthonormalBasis) -> None:
     """Reject a control basis whose Gram matrix is off the identity, or NaN."""
-    if not control.defect <= DEFAULT.construction:  # a NaN defect fails too
+    if not control.defect <= CONSTRUCTION_TOL:  # a NaN defect fails too
         raise ValueError(f"control basis is not orthonormal (defect {control.defect:g})")
 
 

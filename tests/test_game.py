@@ -186,14 +186,18 @@ def test_odd_chunks_and_partial_blocks_read_the_reference_stream(monkeypatch):
     """With CHUNK = 63 and BLOCK = 8 every chunk ends in a partial block and
     every other chunk of choices leaves half of a 64-bit draw buffered; the
     blocked draws must still read the stream as two whole draws a chunk.
-    d = 17 has 18 * 17 = 306 king-outcome cells, so its store is uint16."""
+    The store's type follows the control cells: d = 5 has 6 * 5 * 5 = 150,
+    the largest MUB table whose store stays uint8, and d = 7 with 392 cells
+    takes uint16, as does d = 17."""
     monkeypatch.setattr(game, "CHUNK", 63)
     monkeypatch.setattr(game, "BLOCK", 8)
     rng = np.random.default_rng(77)
     d7 = random_strategy(construct_mub(7), int(rng.integers(8)), rng)
     d17 = random_strategy(construct_mub(17), int(rng.integers(18)), rng)
+    d5 = random_strategy(construct_mub(5), int(rng.integers(6)), rng)
     assert _lower(d17).first.size == 18 * 17
-    for strategy in [case[1] for case in _cases()] + [d7, d17]:
+    assert _lower(d5).control.size == 150
+    for strategy in [case[1] for case in _cases()] + [d5, d7, d17]:
         for seed in range(10):
             config = GameConfig(strategy=strategy, trials=1_000, seed=seed)
             assert run(config) == _reference_run(config, chunk=63)
