@@ -1,8 +1,8 @@
 """Retrodicting measurement outcomes across mutually unbiased bases.
 
 The library builds unbiased basis families, evaluates and optimizes the
-ancilla-free ("conventional") retrodiction strategies, reproduces the exact
-success ceilings and the d=4 strategies that reach them, certifies that no
+conventional retrodiction strategies, reproduces the exact success ceilings
+of that class and the d=4 strategies that reach them, certifies that no
 analogous d=3 strategy exists, and covers the cube-diagonal qubit variant
 with both its entangled-pair protocol and its best ancilla-free one.
 """
@@ -71,7 +71,7 @@ from .search import (
 from .strategy import (
     AssignmentMap,
     ConventionalStrategy,
-    GeneralStrategy,
+    GameTables,
     SuccessBreakdown,
     assign_greedy,
     build_strategy,
@@ -108,7 +108,7 @@ __all__ = [
     "certify_d3_impossible", "certify_optimal_strategy", "find_measurement_bases",
     "find_signal_states", "lattice_deviations", "signal_candidate",
     # strategy
-    "AssignmentMap", "ConventionalStrategy", "GeneralStrategy", "SuccessBreakdown",
+    "AssignmentMap", "ConventionalStrategy", "GameTables", "SuccessBreakdown",
     "assign_greedy", "build_strategy", "complement_strategy", "overlap_matrix",
     "random_control_basis", "random_strategy", "repair_well_conditioned",
     "success_exact", "success_exact_general",

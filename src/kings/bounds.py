@@ -1,7 +1,8 @@
-"""Closed-form success bounds for ancilla-free retrodiction strategies.
+"""Closed-form success bounds for the class of conventional strategies.
 
-A strategy that guesses the preparation basis outright and covers the other
-bases with one control measurement has success probability at most
+A conventional strategy prepares an eigenstate of one basis, guesses that
+basis outright, and covers the other bases with one control measurement and
+a bijective assignment of its outcomes.  Its success probability is at most
 
     bound_p(d) = (2 sqrt(d) + d - 1) / (sqrt(d) (1 + d)),
 
@@ -10,6 +11,11 @@ overlap_target(d) = (sqrt(d) + d - 1) / (d sqrt(d)) with its assigned state in
 each covered basis.  guess_bound / control_bound split the same accounting
 between r guessed bases and s = d + 1 - r control-covered ones; the split is
 rank-independent for 1 <= r <= d and strictly worse at r in {0, d+1}.
+
+These bounds cover that class, not every ancilla-free strategy: a strategy
+free to prepare any state and to guess two-to-one can do better, and
+tests/test_strategy.py::test_ceiling_bounds_the_class_not_every_ancilla_free_strategy
+referees a d = 4 one worth 17/20 against bound_p(4) = 0.7.
 
 relaxed_f_max computes the exact maximum of the per-signal overlap sum F over
 unit vectors: how close a given family lets a single state get to the
@@ -32,7 +38,9 @@ def _check_dim(d: int) -> None:
 
 
 def bound_p(d: int) -> float:
-    """Upper bound on the success of a conventional strategy in dimension d."""
+    """Upper bound on the success of a conventional strategy in dimension d:
+    an eigenstate preparation, one control basis and a bijective assignment.
+    It does not bound every ancilla-free strategy (see the module docstring)."""
     _check_dim(d)
     rd = math.sqrt(d)
     return float((2 * rd + d - 1) / (rd * (1 + d)))

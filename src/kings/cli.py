@@ -351,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certification tolerance (default: the comparison tolerance)")
     p.set_defaults(func=cmd_mub)
 
-    p = sub.add_parser("bound", parents=[out], help="success bounds and their split forms")
+    scope = ("success bounds and their split forms for the conventional class (an eigenstate "
+             "preparation, one control basis, a bijective assignment), not for every "
+             "ancilla-free strategy")
+    p = sub.add_parser("bound", parents=[out], help=scope, description=scope)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--r", type=int, default=None, help="number of guessed bases")
     p.add_argument("--table1", action="store_true", help="emit the bound summary as CSV")

@@ -135,9 +135,10 @@ def vaa_prediction_table(setup: CubeGameSetup) -> np.ndarray:
     return vaa_tables(setup)[2]
 
 
-def wrong_prediction_mass(setup: CubeGameSetup) -> np.ndarray:
-    """Per collapsed state, the Born mass landing on wrong-prediction outcomes."""
-    _, t, prediction = vaa_tables(setup)
+def wrong_prediction_mass(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per collapsed state, the Born mass landing on wrong-prediction outcomes,
+    from the (first, overlap, prediction) triple of vaa_tables."""
+    _, t, prediction = tables
     signs = np.array([s for _, s in _ROW_ORDER])
     wrong = np.repeat(prediction.T, 2, axis=0) != signs[:, None]
     return np.where(wrong, t, 0.0).sum(axis=1)
@@ -145,7 +146,7 @@ def wrong_prediction_mass(setup: CubeGameSetup) -> np.ndarray:
 
 def vaa_success_exact(setup: CubeGameSetup) -> float:
     """Exact success of the VAA-basis protocol, (2 + sqrt(3)) / 4."""
-    return float(1.0 - wrong_prediction_mass(setup).mean())
+    return float(1.0 - wrong_prediction_mass(vaa_tables(setup)).mean())
 
 
 # --- ancilla-free (conventional) protocol ----------------------------------

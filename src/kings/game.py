@@ -1,10 +1,11 @@
 """Seeded Monte Carlo referee for the retrodiction games.
 
 run() simulates full rounds (king's choice, Born-rule collapse, control
-measurement, prediction) for a conventional MUB strategy, the VAA cube
-protocol or the ancilla-free cube protocol.  Each strategy kind is lowered
-once to a GameTables record (outcome distributions plus a prediction table in
-index space; kings.cube derives a cube protocol's), and one sampling loop
+measurement, prediction) for a GameTables record (kings.strategy's one
+ancilla-free strategy record, which the role exchange builds), a
+conventional MUB strategy, the VAA cube protocol or the ancilla-free cube
+protocol.  A record is played as it is; every other kind is lowered once to
+one (kings.cube derives a cube protocol's tables), and one sampling loop
 serves every kind.  Trials are drawn in chunks of CHUNK from one numpy PCG64
 stream: per chunk the king's choices, then the king's uniforms, then the
 control uniforms.  Each run keeps one cell store of the narrowest unsigned
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COMPARISON_TOL
 from .cube import CubeGameSetup, conventional_cube_tables, vaa_tables
-from .strategy import ConventionalStrategy
+from .strategy import ConventionalStrategy, GameTables
 
 GENERATOR_NAME = "numpy-pcg64"
 CHUNK = 1 << 20
@@ -55,7 +55,7 @@ class CubeConventionalStrategy:
     direction: np.ndarray
 
 
-Strategy = ConventionalStrategy | CubeVaaStrategy | CubeConventionalStrategy
+Strategy = GameTables | ConventionalStrategy | CubeVaaStrategy | CubeConventionalStrategy
 
 
 @dataclass
@@ -79,47 +79,25 @@ class GameResult:
     generator: str = GENERATOR_NAME
 
 
-@dataclass
-class GameTables:
-    """A strategy lowered to index space.
-
-    first[c] is the king's outcome distribution for choice c,
-    control[c * n_out + o] the control distribution after king outcome o, and
-    predict[k, c] the king outcome called on control outcome k.  Cube signs
-    index as +1 -> 0 and -1 -> 1.
-    """
-
-    mode: str
-    first: np.ndarray
-    control: np.ndarray
-    predict: np.ndarray
-
-
-def _check_probs(p: np.ndarray) -> np.ndarray:
-    """Renormalize a Born distribution, rejecting real corruption."""
-    s = p.sum(axis=-1, keepdims=True)
-    if not np.all(np.abs(s - 1.0) <= COMPARISON_TOL):  # a NaN sum fails too
-        raise ValueError(f"outcome probabilities sum to {s.ravel()!r}, not 1")
-    return p / s
-
-
 def _lower_mub(s: ConventionalStrategy) -> GameTables:
     family, d = s.family, s.family.dim
     first = np.abs(np.einsum("ijm,m->ij", family.array.conj(), s.preparation)) ** 2
     control = s.overlaps.reshape(-1, d)
     predict = s.assignment.prediction.copy()
     predict[:, s.prep_basis] = s.prep_index
-    return GameTables(f"mub-d{d}", _check_probs(first), _check_probs(control), predict)
+    return GameTables(f"mub-d{d}", first, control, predict)
 
 
 def _lower_cube(mode: str, first: np.ndarray, control: np.ndarray,
                 predict: np.ndarray) -> GameTables:
     """Wrap a cube protocol's tables from kings.cube, signs +1 -> 0 and -1 -> 1."""
-    return GameTables(mode, _check_probs(first), _check_probs(control), (1 - predict) // 2)
+    return GameTables(mode, first, control, (1 - predict) // 2)
 
 
 def _lower(strategy: Strategy) -> GameTables:
-    """The one dispatch over strategy kinds."""
+    """The one dispatch over strategy kinds; a record passes through as it is."""
+    if isinstance(strategy, GameTables):
+        return strategy
     if isinstance(strategy, ConventionalStrategy):
         return _lower_mub(strategy)
     if isinstance(strategy, CubeVaaStrategy):
@@ -162,10 +140,8 @@ def run(config: GameConfig) -> GameResult:
         for block in blocks:  # -> (c * n_out + o) * n_k + k, never above the last cell
             _refine(block, rng.random(out=u[:block.size]), control)
             counts += np.bincount(block, minlength=counts.size)  # bincount copies to intp
-    # win[c, o * n_k + k]: control outcome k calls king outcome o for choice c
-    win = (tables.predict.T[:, None, :] == np.arange(n_out)[:, None]).reshape(n_choices, -1)
     played = counts.reshape(n_choices, -1)
-    won = (played * win).sum(axis=1)
+    won = (played * tables.win()).sum(axis=1)
     successes = int(won.sum())
     estimate = successes / trials
     stderr = float(np.sqrt(max(estimate * (1 - estimate), 1e-300) / trials))

@@ -8,6 +8,10 @@ outcome signalling each state of basis i, and whose rows of -1 mark the bases
 it does not cover.  The strategy is "well conditioned" when every covered row
 is a permutation, so each control outcome commits to exactly one prediction
 per basis.
+
+GameTables is the one record of an ancilla-free strategy in index space:
+outcome tables plus a guess table, worth their table value.  The Monte Carlo
+referee plays it, and the role exchange builds one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .mub import MubFamily, OrthonormalBasis, _is_index
-from .config import CONSTRUCTION_TOL
+from .config import COMPARISON_TOL, CONSTRUCTION_TOL
 
 
 def overlap_matrix(family: MubFamily, control: OrthonormalBasis) -> np.ndarray:
@@ -274,96 +278,94 @@ def success_exact(strategy: ConventionalStrategy) -> SuccessBreakdown:
     return SuccessBreakdown(total=total, per_basis=per_basis, per_signal=per_signal)
 
 
-def success_exact_general(
-    family: MubFamily,
-    preparation: np.ndarray,
-    guess_bases: frozenset[int] | set[int],
-    guesses: dict[int, int],
-    control: OrthonormalBasis,
-    assignment: AssignmentMap,
-) -> float:
-    """Exact success for an arbitrary preparation with r guessed bases.
-
-    Guessed bases score the Born weight of the guessed state; every other
-    basis must be covered by the assignment and scores
-    sum_j p(i, j) f(i, j) with p the king-outcome distribution under
-    `preparation` and f the assigned control overlaps.
-    """
-    d = family.dim
-    guess_bases = frozenset(guess_bases)
-    covered = frozenset(assignment.covered)
-    if guess_bases & covered or guess_bases | covered != set(family.labels):
-        raise ValueError("guessed and covered bases must partition the family")
-    if set(guesses) != guess_bases:
-        raise ValueError("need exactly one guessed state per guessed basis")
-    for g in guesses.values():
-        if not _is_index(g, range(d)):
-            raise ValueError(f"guessed state {g} is not a state index 0..{d - 1}")
-    assignment.require_well_conditioned()
-    p = np.abs(np.einsum("ijm,m->ij", family.array.conj(), np.asarray(preparation, dtype=complex))) ** 2
-    o = overlap_matrix(family, control)
-    total = 0.0
-    for i in guess_bases:
-        total += p[i, guesses[i]]
-    for i in covered:
-        total += sum(p[i] * o[i, np.arange(d), assignment.forward[i]])
-    return float(total / (d + 1))
-
-
 @dataclass
-class GeneralStrategy:
-    """A strategy description in the shape success_exact_general consumes."""
+class GameTables:
+    """An ancilla-free strategy as outcome tables in index space.
 
-    family: MubFamily
-    preparation: np.ndarray
-    guess_bases: frozenset[int]
-    guesses: dict[int, int]
-    control: OrthonormalBasis
-    assignment: AssignmentMap
-    # Role exchange is only reversible when the basis the preparation was
-    # drawn from is still known, so the source strategy rides along.
+    first[c] is the king's outcome distribution for choice c,
+    control[c * n_out + o] the control distribution after king outcome o, and
+    predict[k, c] the king outcome called on control outcome k.  Cube signs
+    index as +1 -> 0 and -1 -> 1.  Both tables are renormalized and predict
+    checked once, when the record is built.  A role-exchanged record keeps
+    the strategy it came from as `source`, so the exchange can be undone.
+    """
+
+    mode: str
+    first: np.ndarray
+    control: np.ndarray
+    predict: np.ndarray
     source: ConventionalStrategy | None = None
 
+    def __post_init__(self) -> None:
+        self.first = _check_probs(np.asarray(self.first))
+        self.control = _check_probs(np.asarray(self.control))
+        n_choices, n_out = self.first.shape
+        if self.control.shape[0] != n_choices * n_out:
+            raise ValueError(f"control has {self.control.shape[0]} rows, "
+                             f"need {n_choices} * {n_out}")
+        predict = np.asarray(self.predict)
+        if predict.shape != (self.control.shape[1], n_choices):
+            raise ValueError(f"predict has shape {predict.shape}, "
+                             f"need {(self.control.shape[1], n_choices)}")
+        if predict.dtype.kind not in "iu" or not ((predict >= 0) & (predict < n_out)).all():
+            for p in predict.ravel().tolist():  # name the first bad entry
+                if not (isinstance(p, (int, np.integer)) and _is_index(p, range(n_out))):
+                    raise ValueError(f"predicted outcome {p!r} is not an outcome index "
+                                     f"0..{n_out - 1}")
+        self.predict = predict.astype(int)
+
+    def win(self) -> np.ndarray:
+        """win[c, o * n_k + k]: control outcome k calls king outcome o for choice c."""
+        n_choices, n_out = self.first.shape
+        return (self.predict.T[:, None, :] == np.arange(n_out)[:, None]).reshape(n_choices, -1)
+
     def success(self) -> float:
-        return success_exact_general(
-            self.family, self.preparation, self.guess_bases,
-            self.guesses, self.control, self.assignment,
-        )
+        return success_exact_general(self)
+
+
+def _check_probs(p: np.ndarray) -> np.ndarray:
+    """Renormalize a Born distribution, rejecting real corruption."""
+    s = p.sum(axis=-1, keepdims=True)
+    if not np.all(np.abs(s - 1.0) <= COMPARISON_TOL):  # a NaN sum fails too
+        raise ValueError(f"outcome probabilities sum to {s.ravel()!r}, not 1")
+    return p / s
+
+
+def success_exact_general(tables: GameTables) -> float:
+    """Exact table value of a record: the mean over the king's choices c of
+    sum_{o,k} first[c, o] control[c * n_out + o, k] win[c, o * n_k + k]."""
+    n_choices = tables.first.shape[0]
+    joint = (tables.first.reshape(-1, 1) * tables.control).reshape(n_choices, -1)
+    return float((joint * tables.win()).sum(axis=1).mean())
 
 
 def complement_strategy(
-    strategy: ConventionalStrategy | GeneralStrategy,
+    strategy: ConventionalStrategy | GameTables,
     control_state_index: int = 0,
-) -> GeneralStrategy | ConventionalStrategy:
+) -> GameTables | ConventionalStrategy:
     """Exchange the roles of the preparation basis and the control basis.
 
-    From a conventional strategy this builds the mirrored description: prepare
-    one of the former control states, guess every formerly covered basis via
-    the assignment's predictions, and reserve the control measurement for the
-    formerly guessed basis (where measuring in the same basis is always
-    right).  Applying the exchange to such a description returns a
-    conventional strategy with the same success probability.
+    From a conventional strategy this builds the mirrored record: prepare
+    control state i, guess every formerly covered basis m by the
+    assignment's prediction[i, m] whatever the control outcome, and measure
+    in the formerly guessed basis p, where outcome k calls state k.  Applying
+    the exchange to such a record returns a copy of its source strategy.
     """
-    if isinstance(strategy, GeneralStrategy):
+    if isinstance(strategy, GameTables):
         if strategy.source is None:
             raise ValueError("cannot exchange roles without the source strategy")
         return copy.copy(strategy.source)  # checked when it was built
     prep = strategy.prep_basis
-    d = strategy.family.dim
+    family, d = strategy.family, strategy.family.dim
     if not _is_index(control_state_index, range(d)):
         raise ValueError(f"control_state_index {control_state_index} is not a state index "
                          f"0..{d - 1}")
-    guess_bases = frozenset(set(strategy.family.labels) - {prep})
-    prediction = strategy.assignment.prediction
-    guesses = {i: int(prediction[control_state_index, i]) for i in guess_bases}
-    identity = np.full_like(strategy.assignment.forward, -1)
-    identity[prep] = np.arange(d)
-    return GeneralStrategy(
-        family=strategy.family,
-        preparation=strategy.control.states[control_state_index],
-        guess_bases=guess_bases,
-        guesses=guesses,
-        control=strategy.family.bases[prep],
-        assignment=AssignmentMap(identity),
+    predict = np.tile(strategy.assignment.prediction[control_state_index], (d, 1))
+    predict[:, prep] = np.arange(d)
+    return GameTables(
+        mode=f"mub-d{d}",
+        first=strategy.overlaps[..., control_state_index],
+        control=overlap_matrix(family, family.bases[prep]).reshape(-1, d),
+        predict=predict,
         source=strategy,
     )

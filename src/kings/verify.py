@@ -20,9 +20,8 @@ from .cube import (
     conventional_cube_optimize,
     conventional_cube_value,
     make_cube_setup,
-    vaa_overlap_table,
-    vaa_prediction_table,
     vaa_success_exact,
+    vaa_tables,
     verify_bell_decompositions,
     wrong_prediction_mass,
 )
@@ -206,14 +205,15 @@ def criterion_d3_impossibility() -> CriterionResult:
 def criterion_cube_vaa() -> CriterionResult:
     t0 = time.perf_counter()
     setup = make_cube_setup()
-    table = vaa_overlap_table(setup)
+    tables = vaa_tables(setup)  # one derivation serves every check below
+    _, table, prediction = tables
     ref = np.array(reference.VAA_OVERLAP_REFERENCE)
     table_dev = float(np.abs(table - ref).max())
-    wrong = wrong_prediction_mass(setup)
+    wrong = wrong_prediction_mass(tables)
     expected_wrong = 1.0 - (2 + np.sqrt(3)) / 4
     wrong_dev = float(np.abs(wrong - expected_wrong).max())
-    success = vaa_success_exact(setup)
-    chi1 = tuple(vaa_prediction_table(setup)[0])
+    success = float(1.0 - wrong.mean())  # vaa_success_exact's value
+    chi1 = tuple(prediction[0])
     problems = []
     try:
         defect = max(verify_bell_decompositions(setup).values())

@@ -19,6 +19,7 @@ from kings.cube import (
     vaa_overlap_table,
     vaa_prediction_table,
     vaa_success_exact,
+    vaa_tables,
     verify_bell_decompositions,
     wrong_prediction_mass,
 )
@@ -125,15 +126,28 @@ def test_rule_and_wrong_mass_equal_their_loops(setup):
     rows = [(a, s) for a in range(4) for s in (1, -1)]
     wrong = [sum(t[r, k] for k in range(4) if pred[k, a] != s) for r, (a, s) in enumerate(rows)]
     assert np.array_equal(vaa_prediction_table(setup), pred)
-    assert wrong_prediction_mass(setup).tolist() == wrong
+    assert wrong_prediction_mass(vaa_tables(setup)).tolist() == wrong
 
 
 def test_wrong_mass_is_flat(setup):
-    wrong = wrong_prediction_mass(setup)
+    wrong = wrong_prediction_mass(vaa_tables(setup))
     expected = 1 - (2 + np.sqrt(3)) / 4
     assert np.abs(wrong - expected).max() < 1e-10
     # comfortably below the practical-vanishing threshold for any row
     assert wrong.max() < 0.07
+
+
+def test_criterion_seven_collapses_each_state_twice(monkeypatch):
+    """Criterion 7 derives the VAA tables once and checks the product
+    decompositions once: eight collapsed joint states each."""
+    import kings.cube
+    from kings.verify import criterion_cube_vaa
+
+    calls = []
+    monkeypatch.setattr(kings.cube, "king_collapse",
+                        lambda *args: calls.append(1) or king_collapse(*args))
+    assert criterion_cube_vaa().passed
+    assert len(calls) == 16
 
 
 def test_vaa_success_value(setup):

@@ -24,7 +24,6 @@ from kings.game import (
     CubeVaaStrategy,
     GameConfig,
     GameResult,
-    _check_probs,
     _lower,
     _refine,
     run,
@@ -37,7 +36,7 @@ from kings.presets import (
     d4_optimal_strategy,
 )
 from kings.qstate import spin_up_state
-from kings.strategy import random_strategy, success_exact
+from kings.strategy import _check_probs, random_strategy, success_exact
 from kings.verify import ACCEPTANCE_SEED
 
 

@@ -12,7 +12,7 @@ from kings.bounds import bound_p, overlap_target
 from kings.mub import OrthonormalBasis, construct_mub
 from kings.strategy import (
     AssignmentMap,
-    GeneralStrategy,
+    GameTables,
     SuccessBreakdown,
     _max_assignment,
     assign_greedy,
@@ -23,7 +23,6 @@ from kings.strategy import (
     random_strategy,
     repair_well_conditioned,
     success_exact,
-    success_exact_general,
 )
 from kings.presets import d2_optimal_strategy, d4_optimal_strategy
 from kings.search import find_measurement_bases, find_signal_states
@@ -299,40 +298,56 @@ def test_breakdown_regrouping_identity():
         assert breakdown.total == pytest.approx(breakdown.total_from_signals(), abs=1e-12)
 
 
-def test_general_success_matches_conventional():
-    """Scoring a conventional strategy through the general evaluator agrees."""
-    for d in (2, 3, 4):
-        family = construct_mub(d)
-        rng = np.random.default_rng(d)
-        strat = random_strategy(family, prep_basis=1, rng=rng)
-        direct = success_exact(strat).total
-        general = success_exact_general(
-            family,
-            preparation=strat.preparation,
-            guess_bases={1},
-            guesses={1: strat.prep_index},
-            control=strat.control,
-            assignment=strat.assignment,
-        )
-        assert general == pytest.approx(direct, abs=1e-12)
+def _record_of(strat):
+    """A conventional strategy as a record, built as run() lowers it."""
+    from kings.game import _lower
+    return _lower(strat)
 
 
-def test_general_success_partition_validation():
-    family = construct_mub(2)
-    strat = d2_optimal_strategy()
-    with pytest.raises(ValueError):
-        success_exact_general(family, strat.preparation, {0, 1}, {0: 0, 1: 0},
-                              strat.control, strat.assignment)
-    with pytest.raises(ValueError):
-        success_exact_general(family, strat.preparation, {0}, {},
-                              strat.control, strat.assignment)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_record_value_matches_conventional(d):
+    """A conventional strategy's record is worth its success_exact total, for
+    every prep basis."""
+    family = construct_mub(d)
+    rng = np.random.default_rng(d)
+    for prep in range(d + 1):
+        strat = random_strategy(family, prep_basis=prep, rng=rng)
+        assert abs(_record_of(strat).success() - success_exact(strat).total) <= 1e-15
+
+
+def _valid_tables():
+    record = _record_of(d2_optimal_strategy())
+    return {"mode": record.mode, "first": record.first, "control": record.control,
+            "predict": record.predict}
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"predict": np.zeros((3, 3), dtype=int)}, r"predict has shape \(3, 3\), need \(2, 3\)"),
+    ({"predict": np.zeros((2, 2), dtype=int)}, r"predict has shape \(2, 2\)"),
+    ({"predict": np.array([[0, 1, -1], [0, 0, 1]])}, "predicted outcome -1 is not"),
+    ({"predict": np.array([[0, 1, 2], [0, 0, 1]])}, "predicted outcome 2 is not"),
+    ({"predict": np.array([[0, 1, 0], [0, True, 1]], dtype=object)}, "predicted outcome True is not"),
+    ({"predict": np.array([[0, 1, 0], [0, 0, 1]], dtype=bool)}, "predicted outcome False is not"),
+    ({"predict": np.array([[0, 1.0, 0], [0, 0, 1]])}, "predicted outcome 0.0 is not"),
+    ({"first": np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.4]])}, "sum to"),
+    ({"control": np.ones((5, 2)) / 2}, "control has 5 rows, need 3 \\* 2"),
+])
+def test_record_validation(change, match):
+    """A record checks its tables once: the guess table's shape, every guess
+    an int outcome index, no bool, and Born rows that sum to 1.  A guess out
+    of 0..n_out-1 names itself instead of wrapping round or raising a bare
+    IndexError."""
+    GameTables(**_valid_tables())  # the unchanged tables pass
+    with pytest.raises(ValueError, match=match):
+        GameTables(**{**_valid_tables(), **change})
 
 
 def test_complement_preserves_success_and_inverts():
     for d in (2, 4):
         strat = d2_optimal_strategy() if d == 2 else d4_optimal_strategy()
         mirrored = complement_strategy(strat)
-        assert isinstance(mirrored, GeneralStrategy)
+        assert isinstance(mirrored, GameTables)
+        assert mirrored.source is strat
         assert mirrored.success() == pytest.approx(success_exact(strat).total, abs=1e-9)
         back = complement_strategy(mirrored)
         assert back is not strat
@@ -348,34 +363,65 @@ def test_complement_each_control_state_of_the_optimum():
         assert complement_strategy(strat, control_state_index=k).success() == pytest.approx(0.7, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_mirrored_value_is_the_control_states_overlap_sum(d):
+    """Preparing control state k wins the exchanged basis outright and
+    collects F(k) on the rest: (1 + per_signal[k]) / (d + 1)."""
+    rng = np.random.default_rng(40 + d)
+    strat = random_strategy(construct_mub(d), int(rng.integers(d + 1)), rng)
+    per_signal = success_exact(strat).per_signal
+    for k in range(d):
+        mirrored = complement_strategy(strat, control_state_index=k)
+        assert abs(mirrored.success() - (1 + per_signal[k]) / (d + 1)) <= 1e-15
+
+
+def test_run_referees_the_mirrored_d4_optimum():
+    from kings.game import GameConfig, run
+    from kings.verify import ACCEPTANCE_SEED
+
+    mirrored = complement_strategy(d4_optimal_strategy())
+    result = run(GameConfig(strategy=mirrored, trials=1_000_000, seed=ACCEPTANCE_SEED))
+    assert result.mode == "mub-d4"
+    assert abs(result.estimate - 0.7) <= 3 * result.stderr
+    assert result.per_choice[0][0] == result.per_choice[0][1]  # the exchanged basis never loses
+
+
 @pytest.mark.parametrize("index", [-1, 4, True])
 def test_state_indices_outside_the_dimension_are_refused(index):
-    """A control state or guessed state index out of 0..d-1 names itself
-    instead of wrapping round or raising a bare IndexError."""
-    strat = d4_optimal_strategy()
+    """A control state index out of 0..d-1 names itself instead of wrapping
+    round or raising a bare IndexError; test_record_validation checks the
+    guessed states."""
     with pytest.raises(ValueError, match=f"control_state_index {index} is not a state index"):
-        complement_strategy(strat, control_state_index=index)
-    mirrored = complement_strategy(strat)
-    guesses = {**mirrored.guesses, min(mirrored.guesses): index}
-    with pytest.raises(ValueError, match=f"guessed state {index} is not a state index"):
-        success_exact_general(mirrored.family, mirrored.preparation, mirrored.guess_bases,
-                              guesses, mirrored.control, mirrored.assignment)
+        complement_strategy(d4_optimal_strategy(), control_state_index=index)
 
 
 def test_complement_needs_source():
-    strat = d2_optimal_strategy()
-    mirrored = complement_strategy(strat)
-    orphan = GeneralStrategy(
-        family=mirrored.family,
-        preparation=mirrored.preparation,
-        guess_bases=mirrored.guess_bases,
-        guesses=mirrored.guesses,
-        control=mirrored.control,
-        assignment=mirrored.assignment,
-        source=None,
-    )
-    with pytest.raises(ValueError):
+    mirrored = complement_strategy(d2_optimal_strategy())
+    orphan = GameTables(mirrored.mode, mirrored.first, mirrored.control, mirrored.predict)
+    with pytest.raises(ValueError, match="without the source strategy"):
         complement_strategy(orphan)
+
+
+def test_ceiling_bounds_the_class_not_every_ancilla_free_strategy():
+    """A d = 4 record that no class strategy can be: it guesses two-to-one on
+    bases 0, 2 and 4, and it is worth 17/20, above bound_p(4) = 0.7."""
+    from kings.game import GameConfig, run
+
+    family = construct_mub(4)
+    psi = np.array([1, -1j, 0, 0]) / np.sqrt(2)
+    r, h = 1 / np.sqrt(2), (-1 + 1j) / (2 * np.sqrt(2))
+    w = np.array([[0, r, 0, r], [r, 0, r, 0], [h, h, -h, -h], [h, -h, -h, h]])
+    control = overlap_matrix(family, OrthonormalBasis(label=None, states=w.T)).reshape(-1, 4)
+    first = np.abs(family.array.conj() @ psi) ** 2
+    # the likelier king outcome j of basis m given control outcome k
+    predict = (first[:, :, None] * control.reshape(5, 4, 4)).argmax(axis=1).T
+    assert predict.T.tolist() == [[1, 0, 1, 0], [2, 3, 0, 1], [1, 1, 3, 3], [3, 2, 0, 1],
+                                  [1, 3, 3, 1]]
+    witness = GameTables("mub-d4", first, control, predict)
+    assert abs(witness.success() - 17 / 20) <= 1e-15
+    assert witness.success() > bound_p(4)
+    result = run(GameConfig(strategy=witness, trials=1_000_000, seed=1))
+    assert abs(result.estimate - 17 / 20) <= 3 * result.stderr
 
 
 def test_random_control_basis_is_orthonormal_and_seeded():
