@@ -2,12 +2,12 @@
 
 A conventional strategy prepares one eigenstate of a designated basis, guesses
 that basis outright, and covers every other basis with a single orthogonal
-control measurement.  The control outcomes and basis states are tied together
-by an AssignmentMap, one (d + 1, d) int array whose row i lists the control
-outcome signalling each state of basis i, and whose rows of -1 mark the bases
-it does not cover.  The strategy is "well conditioned" when every covered row
-is a permutation, so each control outcome commits to exactly one prediction
-per basis.
+control measurement.  The preparation and the control fix the rest: the
+strategy derives its squared overlaps and an AssignmentMap, one (d + 1, d)
+int array whose row i lists the control outcome signalling each state of
+basis i.  Its only row of -1 is the preparation basis, and every other row is
+a permutation, so each control outcome commits to exactly one prediction per
+basis.  A map with that property is "well conditioned".
 
 GameTables is the one record of an ancilla-free strategy in index space:
 outcome tables plus a guess table, worth their table value.  The Monte Carlo
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,8 +43,8 @@ class AssignmentMap:
     has one row per basis of the family and one column per state; a row of -1
     is a basis the map does not cover.  prediction[k, i] = j inverts forward
     on the rows that are bijections and is -1 elsewhere.  forward is made
-    read-only, so covered, bijective and prediction are derived once and
-    are read-only too.
+    read-only, so bijective and prediction are derived once and are
+    read-only too.
     """
 
     forward: np.ndarray
@@ -52,10 +52,6 @@ class AssignmentMap:
     def __post_init__(self) -> None:
         self.forward = np.asarray(self.forward)
         self.forward.setflags(write=False)
-
-    @cached_property
-    def covered(self) -> tuple[int, ...]:
-        return tuple((self.forward.min(axis=1) >= 0).nonzero()[0].tolist())
 
     @cached_property
     def bijective(self) -> np.ndarray:
@@ -79,16 +75,11 @@ class AssignmentMap:
     def is_well_conditioned(self) -> bool:
         return self._broken().size == 0
 
-    def require_well_conditioned(self) -> None:
-        broken = self._broken()
-        if broken.size:
-            raise ValueError(f"assignment is not a bijection on basis {broken[0]}")
-
 
 def _assign_greedy(overlaps: np.ndarray, prep_basis: int) -> AssignmentMap:
     forward = overlaps.argmax(axis=2)
-    # a mask, not forward[prep_basis]: an out-of-range basis must reach the
-    # strategy's own check instead of raising here or wrapping around
+    # a mask, not forward[prep_basis]: an out-of-range basis excludes no row
+    # instead of raising here or wrapping around
     forward[np.arange(len(forward)) == prep_basis] = -1
     return AssignmentMap(forward)
 
@@ -166,65 +157,46 @@ def repair_well_conditioned(raw: AssignmentMap, overlaps: np.ndarray) -> Assignm
     return AssignmentMap(forward)
 
 
-def _require_orthonormal(control: OrthonormalBasis) -> None:
-    """Reject a control basis whose Gram matrix is off the identity, or NaN."""
-    if not control.defect <= CONSTRUCTION_TOL:  # a NaN defect fails too
-        raise ValueError(f"control basis is not orthonormal (defect {control.defect:g})")
-
-
 @dataclass
 class ConventionalStrategy:
-    """Eigenstate preparation + one control basis + outcome assignment."""
+    """Eigenstate preparation + one control basis, and what they fix.
+
+    The read-only overlap tensor and the assignment (the greedy map repaired
+    to a bijection on every basis but the prepared one) are derived when the
+    strategy is built, so dataclasses.replace derives them afresh.
+    """
 
     family: MubFamily
     prep_basis: int
     prep_index: int
     control: OrthonormalBasis
-    assignment: AssignmentMap
+    overlaps: np.ndarray = field(init=False)
+    assignment: AssignmentMap = field(init=False)
 
     def __post_init__(self) -> None:
+        if not self.control.defect <= CONSTRUCTION_TOL:  # NaN fails too, before the repair
+            raise ValueError(f"control basis is not orthonormal (defect {self.control.defect:g})")
+        self.overlaps = overlap_matrix(self.family, self.control)
+        self.overlaps.setflags(write=False)
         if not _is_index(self.prep_basis, self.family.labels):
             raise ValueError(f"prep_basis {self.prep_basis} is not a basis label "
                              f"0..{self.family.dim}")
         if not _is_index(self.prep_index, range(self.family.dim)):
             raise ValueError(f"prep_index {self.prep_index} is not a state index "
                              f"0..{self.family.dim - 1}")
-        _require_orthonormal(self.control)
-        self.assignment.require_well_conditioned()
-        covered = set(self.assignment.covered)
-        expected = set(self.family.labels) - {self.prep_basis}
-        if covered != expected:
-            raise ValueError(f"assignment covers {covered}, expected {expected}")
+        self.assignment = repair_well_conditioned(
+            _assign_greedy(self.overlaps, self.prep_basis), self.overlaps)
 
     @property
     def preparation(self) -> np.ndarray:
         return self.family.state(self.prep_basis, self.prep_index)
 
-    @cached_property
-    def overlaps(self) -> np.ndarray:
-        """overlap_matrix(family, control), computed once (both are read-only)."""
-        out = overlap_matrix(self.family, self.control)
-        out.setflags(write=False)
-        return out
 
-
-def build_strategy(
-    family: MubFamily,
-    prep_basis: int,
-    prep_index: int,
-    control: OrthonormalBasis,
-) -> ConventionalStrategy:
-    """Greedy assignment, repaired to a bijection, wrapped as a strategy."""
-    _require_orthonormal(control)  # before the overlaps, so the repair never meets a NaN
-    overlaps = overlap_matrix(family, control)
-    repaired = repair_well_conditioned(_assign_greedy(overlaps, prep_basis), overlaps)
-    return ConventionalStrategy(
-        family=family,
-        prep_basis=prep_basis,
-        prep_index=prep_index,
-        control=control,
-        assignment=repaired,
-    )
+def build_strategy(family: MubFamily, prep_basis: int, prep_index: int,
+                   control: OrthonormalBasis) -> ConventionalStrategy:
+    """The conventional strategy that prepares state prep_index of basis
+    prep_basis and measures control; it derives its own assignment."""
+    return ConventionalStrategy(family, prep_basis, prep_index, control)
 
 
 def random_control_basis(d: int, rng: np.random.Generator) -> OrthonormalBasis:
@@ -267,7 +239,8 @@ def success_exact(strategy: ConventionalStrategy) -> SuccessBreakdown:
     """
     family = strategy.family
     d = family.dim
-    covered = np.array(strategy.assignment.covered)
+    # a mask, not np.delete: a whole-number float prep_basis passes the strategy's check
+    covered = np.flatnonzero(np.arange(d + 1) != strategy.prep_basis)
     forward = strategy.assignment.forward[covered]
     # f[r, j]: the overlap of state j of basis covered[r] with its assigned outcome
     f = strategy.overlaps[covered[:, None], np.arange(d), forward]
@@ -285,9 +258,10 @@ class GameTables:
     first[c] is the king's outcome distribution for choice c,
     control[c * n_out + o] the control distribution after king outcome o, and
     predict[k, c] the king outcome called on control outcome k.  Cube signs
-    index as +1 -> 0 and -1 -> 1.  Both tables are renormalized and predict
-    checked once, when the record is built.  A role-exchanged record keeps
-    the strategy it came from as `source`, so the exchange can be undone.
+    index as +1 -> 0 and -1 -> 1.  Both tables must be 2-D; they are
+    renormalized and predict checked once, when the record is built.  A
+    role-exchanged record keeps the strategy it came from as `source`, so
+    the exchange can be undone.
     """
 
     mode: str
@@ -297,8 +271,11 @@ class GameTables:
     source: ConventionalStrategy | None = None
 
     def __post_init__(self) -> None:
-        self.first = _check_probs(np.asarray(self.first))
-        self.control = _check_probs(np.asarray(self.control))
+        for name in ("first", "control"):
+            table = np.asarray(getattr(self, name))
+            if table.ndim != 2:
+                raise ValueError(f"{name} has shape {table.shape}, need a 2-D table")
+            setattr(self, name, _check_probs(table))
         n_choices, n_out = self.first.shape
         if self.control.shape[0] != n_choices * n_out:
             raise ValueError(f"control has {self.control.shape[0]} rows, "

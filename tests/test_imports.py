@@ -1,5 +1,7 @@
-"""Every kings path runs on numpy alone: scipy stays unimported."""
+"""Every kings path runs on numpy alone, so scipy stays unimported, and every
+library name the benchmark binds still resolves."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +73,29 @@ def test_reproduce_path_never_imports_scipy(scipy_modules):
 
 def test_repair_paths_never_import_scipy(scipy_modules):
     assert scipy_modules[1] == "[]"
+
+
+def test_the_benchmark_workloads_resolve_and_pass_their_checks(monkeypatch, tmp_path):
+    """perfbench/workloads.py binds library names by attribute: every traced
+    layer resolves, and one reproduction, the first 24 smoke sweep ops, one
+    smoke referee op and the sweep's counting pass fail no check."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+    k = workloads.import_kings()
+    for module, name, _ in workloads.trace_targets(k):
+        assert callable(getattr(module, name)), name
+    assert workloads.reproduce_iteration(k, 0, 0.0)["problems"] == []
+    sweep, referee = workloads.Sweep(smoke=True), workloads.Referee(smoke=True)
+    for workload in (sweep, referee):
+        workload.load()
+        setup = workload.setup()
+        assert setup is None or setup.failed == 0
+    ops = list(itertools.islice(sweep.ops(1), 24))
+    assert {op[0] for op in ops} == {"mub", "cube"}
+    outs = [sweep.run(op, None) for op in ops]
+    assert sum(out.failed for out in outs) == 0, [p for out in outs for p in out.problems]
+    out = referee.run(next(referee.ops(1)), None)
+    assert (out.attempted, out.failed) == (4, 0), out.problems
+    assert 0 < sweep.counting_pass(1)["strategy.repair_share"] < 1

@@ -175,8 +175,15 @@ CATALOGUE_PHASES = {
 
 
 @pytest.fixture(scope="module")
-def d4_lattice(family4):
-    return lattice_deviations(family4, grid_deg=D4_GRID_DEG)
+def d4_lattice_traced(family4):
+    """The module's one d = 4 lattice run, under tracemalloc: the lattice and
+    its traced peak."""
+    return _traced(lambda: lattice_deviations(family4, grid_deg=D4_GRID_DEG))
+
+
+@pytest.fixture(scope="module")
+def d4_lattice(d4_lattice_traced):
+    return d4_lattice_traced[0]
 
 
 def test_d4_only_catalogue_tuples_reach_the_target(d4_lattice):
@@ -442,22 +449,22 @@ def test_one_tuple_at_a_time_equals_the_all_tuple_engine(request, d, grid_deg):
     assert got == _reference_lattice(family, grid_deg)
 
 
-def _traced_peak(call):
+def _traced(call):
+    """call()'s result and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_d3_certificate_memory_is_one_tuples_boxes():
     family = construct_mub(3)
-    assert _traced_peak(lambda: certify_d3_impossible(family)) < 0.5e6
+    assert _traced(lambda: certify_d3_impossible(family))[1] < 0.5e6
 
 
-def test_d4_lattice_memory_is_one_tuples_boxes(family4):
-    assert _traced_peak(lambda: lattice_deviations(family4, grid_deg=D4_GRID_DEG)) < 8e6
+def test_d4_lattice_memory_is_one_tuples_boxes(d4_lattice_traced):
+    assert d4_lattice_traced[1] < 8e6
 
 
 @pytest.mark.parametrize("grid_deg", [0.0, -1.0, 720.0, 1000.0, math.nan, math.inf, -math.inf])

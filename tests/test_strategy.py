@@ -76,7 +76,7 @@ def test_repair_hungarian_agrees_with_brute_force(d, repeats):
         o = overlap_matrix(family, control)
         raw = assign_greedy(family, 0, control)
         repaired = repair_well_conditioned(raw, o)
-        repaired.require_well_conditioned()
+        assert repaired.is_well_conditioned()
         for i in range(1, d + 1):
             got = sum(o[i, j, repaired.forward[(i, j)]] for j in range(d))
             best = max(
@@ -88,8 +88,8 @@ def test_repair_hungarian_agrees_with_brute_force(d, repeats):
 
 def test_a_mub_op_derives_each_overlap_tensor_once(monkeypatch):
     """Build, exact success, the mirror and back, and a run's lowering share
-    one tensor per (family, control) pair: the strategy's and the mirror's,
-    plus the one build_strategy repairs with.  The derived tables are
+    one tensor per (family, control) pair: the strategy's, which its
+    assignment is repaired with, and the mirror's.  The derived tables are
     read-only, and lowering leaves the cached prediction as it was."""
     import kings.strategy
     from kings.game import GameConfig, run
@@ -104,7 +104,7 @@ def test_a_mub_op_derives_each_overlap_tensor_once(monkeypatch):
     assert success_exact(complement_strategy(mirror)).total == total
     prediction = strat.assignment.prediction.copy()
     run(GameConfig(strategy=strat, trials=100, seed=0))
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert (strat.assignment.prediction == prediction).all()
     for table in (strat.overlaps, strat.assignment.forward, strat.assignment.bijective,
                   strat.assignment.prediction):
@@ -122,8 +122,6 @@ def test_assignment_map_inversion():
     assert amap.prediction[1, 1] == 2
     assert (amap.prediction[:, 2] == -1).all()
     assert not amap.is_well_conditioned()
-    with pytest.raises(ValueError):
-        amap.require_well_conditioned()
 
 
 # The dict-based assignment layer that the (d + 1, d) array replaced, kept
@@ -254,6 +252,21 @@ def test_strategy_rejects_a_nan_control(d):
         dataclasses.replace(build_strategy(family, 0, 0, control), control=nan_control)
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_replace_derives_the_assignment_afresh(d):
+    """A strategy with its control replaced is the one build_strategy makes
+    for the new control, not the old assignment on the new overlaps."""
+    family = construct_mub(d)
+    rng = np.random.default_rng(d)
+    for prep in family.labels:
+        s = random_strategy(family, prep, rng)
+        control = random_control_basis(d, rng)
+        replaced = dataclasses.replace(s, control=control)
+        built = build_strategy(family, prep, 0, control)
+        assert (replaced.assignment.forward == built.assignment.forward).all()
+        assert success_exact(replaced).total == success_exact(built).total
+
+
 @pytest.mark.parametrize("prep_basis, prep_index",
                          [(5, 0), (-1, 0), (0, 4), (0, -1), (True, 0), (0, True)])
 def test_strategy_rejects_out_of_range_preparation(prep_basis, prep_index):
@@ -331,12 +344,16 @@ def _valid_tables():
     ({"predict": np.array([[0, 1.0, 0], [0, 0, 1]])}, "predicted outcome 0.0 is not"),
     ({"first": np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.4]])}, "sum to"),
     ({"control": np.ones((5, 2)) / 2}, "control has 5 rows, need 3 \\* 2"),
+    ({"first": np.array([0.5, 0.5])}, r"first has shape \(2,\), need a 2-D table"),
+    ({"control": np.full(6, 1 / 6)}, r"control has shape \(6,\), need a 2-D table"),
+    ({"first": np.array([[0.5, 0.5]]), "control": np.full((2, 1, 2), 0.5),
+      "predict": np.array([[0]])}, r"control has shape \(2, 1, 2\), need a 2-D table"),
 ])
 def test_record_validation(change, match):
-    """A record checks its tables once: the guess table's shape, every guess
-    an int outcome index, no bool, and Born rows that sum to 1.  A guess out
-    of 0..n_out-1 names itself instead of wrapping round or raising a bare
-    IndexError."""
+    """A record checks its tables once: 2-D Born tables, the guess table's
+    shape, every guess an int outcome index, no bool, and Born rows that sum
+    to 1.  A guess out of 0..n_out-1 names itself instead of wrapping round or
+    raising a bare IndexError."""
     GameTables(**_valid_tables())  # the unchanged tables pass
     with pytest.raises(ValueError, match=match):
         GameTables(**{**_valid_tables(), **change})
