@@ -27,7 +27,6 @@ from . import __version__
 from .bounds import bound_report, overlap_target, relaxed_f_max
 from .config import CONSTRUCTION_TOL, COMPARISON_TOL
 from .cube import (
-    collapse_row_labels,
     conventional_baseline,
     conventional_cube_optimize,
     make_cube_setup,
@@ -42,18 +41,9 @@ from .presets import (
     d2_optimal_strategy,
     d4_optimal_strategy,
 )
-from .serialize import (
-    basis_from_json,
-    bound_report_to_json,
-    breakdown_to_json,
-    family_csv_header,
-    family_to_csv_rows,
-    family_to_json,
-    game_result_to_json,
-    write_csv,
-)
+from .serialize import basis_from_json, family_csv_header, family_to_csv_rows, family_to_json, write_csv
 from .strategy import build_strategy, success_exact
-from .tables import table1_csv, write_tables
+from .tables import table1_csv, table5_csv, write_tables
 from .verify import run_all
 
 
@@ -105,6 +95,11 @@ def _print_json(obj: dict[str, Any], out: str | None, manifest: RunManifest) -> 
     _emit(json.dumps(obj, indent=2) + "\n", out, manifest)
 
 
+def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
+    """Comma-joined LF lines for stdout; a file is written by the csv module (CRLF)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
 def _sibling_manifest_path(out: str) -> str:
     stem, _ = os.path.splitext(out)
     return stem + ".manifest.json"
@@ -145,12 +140,10 @@ def cmd_mub(args: argparse.Namespace) -> int:
             "atol": report.atol,
         }
         _print_json(obj, args.out, manifest)
-    elif emit == "csv":  # the file is written by the csv module (CRLF), stdout is LF
+    elif emit == "csv":
         header, rows = family_csv_header(family.dim), family_to_csv_rows(family)
         if args.out is None:
-            print(",".join(header))
-            for row in rows:
-                print(",".join(str(x) for x in row))
+            sys.stdout.write(_csv_text(header, rows))
         else:
             write_csv(args.out, header, rows)
             _write_manifest(_sibling_manifest_path(args.out), manifest, [args.out])
@@ -164,13 +157,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.table1:
         if args.d is not None or args.r is not None:
             raise UsageError("bound --table1 prints every dimension and takes no --d or --r")
-        header, rows = table1_csv()
-        _emit("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]),
-              args.out, manifest)
+        _emit(_csv_text(*table1_csv()), args.out, manifest)
         return 0
     if args.d is None:
         raise UsageError("bound needs --d (or --table1)")
-    _print_json(bound_report_to_json(bound_report(args.d, args.r)), args.out, manifest)
+    _print_json(asdict(bound_report(args.d, args.r)), args.out, manifest)
     return 0
 
 
@@ -199,7 +190,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     strategy = build_strategy(family, args.prep_basis, args.prep_index, control)
     manifest = make_manifest("eval", {"d": args.d, "control": args.control,
                                       "prep_basis": args.prep_basis, "prep_index": args.prep_index})
-    _print_json(breakdown_to_json(success_exact(strategy)), args.out, manifest)
+    _print_json(asdict(success_exact(strategy)), args.out, manifest)
     return 0
 
 
@@ -252,10 +243,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_cube_vaa(args: argparse.Namespace) -> int:
     if args.outdir is None:
-        table = vaa_overlap_table(make_cube_setup())
-        print("state," + ",".join(f"chi{k + 1}" for k in range(4)))
-        for label, row in zip(collapse_row_labels(), table):
-            print(label + "," + ",".join(f"{v:.6f}" for v in row))
+        sys.stdout.write(_csv_text(*table5_csv(vaa_overlap_table(make_cube_setup()))))
         return 0
     manifest = make_manifest("cube vaa", {"emit": "table5", "outdir": args.outdir})
     _write_table_files(args.outdir, (5,), manifest)
@@ -291,7 +279,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = run(GameConfig(strategy=strategy, trials=args.trials, seed=args.seed))
     manifest = make_manifest("simulate", {"mode": args.mode, "trials": args.trials},
                              seed=args.seed)
-    _print_json(game_result_to_json(result), args.out, manifest)
+    _print_json(asdict(result), args.out, manifest)
     return 0
 
 

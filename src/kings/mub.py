@@ -25,8 +25,9 @@ def is_prime(n: int) -> bool:
 
 
 def _is_index(value: object, indices: range) -> bool:
-    """value lies in indices and is no bool, although True == 1."""
-    return not isinstance(value, (bool, np.bool_)) and value in indices
+    """value is an int or numpy integer in indices; a bool is refused, although
+    True == 1, and so is a whole-number float, although 1.0 in range(2)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in indices
 
 
 @dataclass

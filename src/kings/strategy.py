@@ -237,17 +237,17 @@ def success_exact(strategy: ConventionalStrategy) -> SuccessBreakdown:
     right, and a covered basis i contributes the mean of its assigned squared
     overlaps f(i, j).
     """
-    family = strategy.family
-    d = family.dim
-    # a mask, not np.delete: a whole-number float prep_basis passes the strategy's check
+    d = strategy.family.dim
     covered = np.flatnonzero(np.arange(d + 1) != strategy.prep_basis)
     forward = strategy.assignment.forward[covered]
     # f[r, j]: the overlap of state j of basis covered[r] with its assigned outcome
     f = strategy.overlaps[covered[:, None], np.arange(d), forward]
-    per_basis = {strategy.prep_basis: 1.0, **dict(zip(covered.tolist(), f.mean(axis=1).tolist()))}
+    means = np.ones(d + 1)  # the guessed basis is always right
+    means[covered] = f.mean(axis=1)
+    per_basis = dict(enumerate(means.tolist()))
     # bincount adds the weights in row-major order, as a loop over (i, j) would
     per_signal = dict(enumerate(np.bincount(forward.ravel(), f.ravel(), minlength=d).tolist()))
-    total = sum(per_basis[i] for i in family.labels) / (d + 1)
+    total = sum(per_basis.values()) / (d + 1)  # in label order
     return SuccessBreakdown(total=total, per_basis=per_basis, per_signal=per_signal)
 
 
@@ -286,7 +286,7 @@ class GameTables:
                              f"need {(self.control.shape[1], n_choices)}")
         if predict.dtype.kind not in "iu" or not ((predict >= 0) & (predict < n_out)).all():
             for p in predict.ravel().tolist():  # name the first bad entry
-                if not (isinstance(p, (int, np.integer)) and _is_index(p, range(n_out))):
+                if not _is_index(p, range(n_out)):
                     raise ValueError(f"predicted outcome {p!r} is not an outcome index "
                                      f"0..{n_out - 1}")
         self.predict = predict.astype(int)

@@ -36,6 +36,13 @@ def table1_csv() -> tuple[list[str], list[list[Any]]]:
     return ["d", "success_bound"], [[d, f"{v:.4f}"] for d, v in bound_summary()]
 
 
+def table5_csv(table: np.ndarray) -> tuple[list[str], list[list[Any]]]:
+    """Header and rows of table 5 from vaa_overlap_table, the one writer behind
+    every table-5 output."""
+    rows = [[lab] + [f"{x:.6f}" for x in row] for lab, row in zip(collapse_row_labels(), table)]
+    return ["collapsed_state", "chi1", "chi2", "chi3", "chi4"], rows
+
+
 def _signal_rows(signals: list[SignalState]) -> list[list[Any]]:
     rows = []
     for num, s in enumerate(signals, start=1):
@@ -108,17 +115,14 @@ def write_tables(outdir: str, which: tuple[int, ...] = (1, 2, 3, 4, 5)) -> list[
                 {"bases": [{"number": r[0], "members": r[1:]} for r in _basis_rows(bases)]},
             )
         elif n == 5:
-            setup = make_cube_setup()
-            table = vaa_overlap_table(setup)
-            labels = collapse_row_labels()
+            table = vaa_overlap_table(make_cube_setup())
             emit(
                 "table5",
-                ["collapsed_state", "chi1", "chi2", "chi3", "chi4"],
-                [[lab] + [f"{x:.6f}" for x in row] for lab, row in zip(labels, table)],
+                *table5_csv(table),
                 {
                     "rows": [
                         {"collapsed_state": lab, "overlaps": [float(x) for x in row]}
-                        for lab, row in zip(labels, np.asarray(table))
+                        for lab, row in zip(collapse_row_labels(), table)
                     ]
                 },
             )

@@ -200,10 +200,10 @@ def test_relaxed_max_is_a_certificate(d):
         assert result.value <= d * overlap_target(d) + 1e-12
 
 
-@pytest.mark.parametrize("excluded", [-1, 4, 7, True, np.True_])
+@pytest.mark.parametrize("excluded", [-1, 4, 7, True, np.True_, 1.0])
 def test_relaxed_max_rejects_unknown_excluded_basis(excluded):
     # -1 or 7 used to drop no basis and sum all four, giving 2.618 > 3 * overlap_target(3)
-    # a bool used to pass the label check as 1 and fail inside np.delete
+    # a bool or a whole-number float used to pass the label check as 1 and fail inside np.delete
     with pytest.raises(ValueError, match="excluded"):
         relaxed_f_max(construct_mub(3), excluded)
 

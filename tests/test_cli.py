@@ -1,7 +1,9 @@
-"""End-to-end command-line checks: outputs parse with the library's own
-readers, manifests land next to artifacts, exit codes follow the contract."""
+"""End-to-end command-line checks: outputs parse with the standard library's
+json and csv modules and the codecs kings.serialize keeps, manifests land next
+to artifacts, exit codes follow the contract."""
 
 import argparse
+import csv
 import inspect
 import io
 import json
@@ -15,21 +17,36 @@ from hypothesis import strategies as st
 
 from kings.bounds import bound_p
 from kings.cli import build_parser, main
+from kings.game import GameResult
 from kings.mub import OrthonormalBasis, construct_mub
 from kings.presets import d2_optimal_strategy
-from kings.serialize import (
-    basis_to_json,
-    family_from_csv,
-    family_from_json,
-    game_result_from_json,
-    read_csv,
-)
+from kings.serialize import basis_from_json, basis_to_json
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def json_family_states(obj):
+    """The (d + 1, d, d) states of a family printed by `kings mub`."""
+    return np.stack([basis_from_json(b).states for b in obj["bases"]])
+
+
+def csv_family_states(text):
+    """The (d + 1, d, d) states of a family printed by `kings mub --emit csv`:
+    basis, state, then re/im column pairs."""
+    header, *rows = csv.reader(io.StringIO(text))
+    dim = (len(header) - 2) // 2
+    values = np.array([[float(x) for x in row[2:]] for row in rows])
+    return (values[:, 0::2] + 1j * values[:, 1::2]).reshape(dim + 1, dim, dim)
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def test_bound_table1(capsys):
@@ -68,24 +85,23 @@ def test_mub_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "mub", "--d", "3")
     assert code == 0
     obj = json.loads(out)
-    family = family_from_json(obj)
-    assert np.array_equal(family.array, construct_mub(3).array)
+    assert np.array_equal(json_family_states(obj), construct_mub(3).array)
     assert obj["certification"]["passed"] is True
 
 
 def test_mub_csv_round_trips(capsys):
     code, out, _ = run_cli(capsys, "mub", "--d", "4", "--emit", "csv")
     assert code == 0
-    family = family_from_csv(out)
-    assert np.array_equal(family.array, construct_mub(4).array)
+    assert np.array_equal(csv_family_states(out), construct_mub(4).array)
 
 
 def test_mub_file_output_with_manifest(capsys, tmp_path):
     out_file = tmp_path / "family.json"
     code, _, _ = run_cli(capsys, "mub", "--d", "2", "--out", str(out_file))
     assert code == 0
-    family = family_from_json(json.loads(out_file.read_text()))
-    assert family.dim == 2
+    obj = json.loads(out_file.read_text())
+    assert obj["dim"] == 2
+    assert np.array_equal(json_family_states(obj), construct_mub(2).array)
     manifest = json.loads((tmp_path / "family.manifest.json").read_text())
     assert manifest["command"] == "mub"
     assert manifest["files"] == ["family.json"]
@@ -206,7 +222,7 @@ def test_cube_vaa_stdout(capsys):
     code, out, _ = run_cli(capsys, "cube", "vaa")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "state,chi1,chi2,chi3,chi4"
+    assert lines[0] == "collapsed_state,chi1,chi2,chi3,chi4"
     assert len(lines) == 9
     first = lines[1].split(",")
     assert first[0] == "+n1+n4"
@@ -399,7 +415,9 @@ def test_simulate_round_trips(capsys):
                            "--trials", "20000", "--seed", "5")
     assert code == 0
     obj = json.loads(out)
-    result = game_result_from_json(obj)
+    record = {k: v for k, v in obj.items() if k != "manifest"}
+    record["per_choice"] = {int(k): tuple(v) for k, v in record["per_choice"].items()}
+    result = GameResult(**record)
     assert result.mode == "mub-d2"
     assert result.trials == 20000
     assert result.seed == 5
@@ -434,6 +452,13 @@ def test_bound_table1_matches_tables_csv(capsys, tmp_path):
     _, out, _ = run_cli(capsys, "bound", "--table1")
     run_cli(capsys, "tables", "--which", "1", "--outdir", str(tmp_path))
     header, rows = read_csv(os.path.join(tmp_path, "table1.csv"))
+    assert [line.split(",") for line in out.strip().splitlines()] == [header, *rows]
+
+
+def test_cube_vaa_stdout_matches_tables_csv(capsys, tmp_path):
+    _, out, _ = run_cli(capsys, "cube", "vaa")
+    run_cli(capsys, "tables", "--which", "5", "--outdir", str(tmp_path))
+    header, rows = read_csv(os.path.join(tmp_path, "table5.csv"))
     assert [line.split(",") for line in out.strip().splitlines()] == [header, *rows]
 
 

@@ -1,5 +1,6 @@
-"""Every kings path runs on numpy alone, so scipy stays unimported, and every
-library name the benchmark binds still resolves."""
+"""Every kings path runs on numpy alone, so scipy stays unimported, every
+exported name resolves, and every library name the benchmark binds still
+resolves."""
 
 import itertools
 import subprocess
@@ -73,6 +74,13 @@ def test_reproduce_path_never_imports_scipy(scipy_modules):
 
 def test_repair_paths_never_import_scipy(scipy_modules):
     assert scipy_modules[1] == "[]"
+
+
+def test_every_exported_name_resolves_once():
+    """`from kings import *` breaks on a stale export; a duplicate hides one."""
+    missing = [name for name in kings.__all__ if not hasattr(kings, name)]
+    assert not missing
+    assert len(set(kings.__all__)) == len(kings.__all__)
 
 
 def test_the_benchmark_workloads_resolve_and_pass_their_checks(monkeypatch, tmp_path):

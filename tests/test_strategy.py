@@ -268,7 +268,8 @@ def test_replace_derives_the_assignment_afresh(d):
 
 
 @pytest.mark.parametrize("prep_basis, prep_index",
-                         [(5, 0), (-1, 0), (0, 4), (0, -1), (True, 0), (0, True)])
+                         [(5, 0), (-1, 0), (0, 4), (0, -1), (True, 0), (0, True),
+                          (1.0, 0), (0, 1.0)])
 def test_strategy_rejects_out_of_range_preparation(prep_basis, prep_index):
     family = construct_mub(4)
     control = d4_optimal_strategy().control
@@ -403,7 +404,7 @@ def test_run_referees_the_mirrored_d4_optimum():
     assert result.per_choice[0][0] == result.per_choice[0][1]  # the exchanged basis never loses
 
 
-@pytest.mark.parametrize("index", [-1, 4, True])
+@pytest.mark.parametrize("index", [-1, 4, True, 1.0])
 def test_state_indices_outside_the_dimension_are_refused(index):
     """A control state index out of 0..d-1 names itself instead of wrapping
     round or raising a bare IndexError; test_record_validation checks the
