@@ -24,7 +24,9 @@ from .bounds import (
 )
 from .cube import (
     CubeConventionalResult,
+    CubeConventionalStrategy,
     CubeGameSetup,
+    CubeVaaStrategy,
     collapse_row_labels,
     conventional_baseline,
     conventional_cube_optimize,
@@ -38,13 +40,7 @@ from .cube import (
     verify_bell_decompositions,
     wrong_prediction_mass,
 )
-from .game import (
-    CubeConventionalStrategy,
-    CubeVaaStrategy,
-    GameConfig,
-    GameResult,
-    run,
-)
+from .game import GameConfig, GameResult, run
 from .mub import (
     CertificationReport,
     MubFamily,
@@ -91,13 +87,13 @@ __all__ = [
     "BoundReport", "RelaxedMaximum", "bound_p", "bound_report", "control_bound",
     "guess_bound", "overlap_target", "relaxed_f_max", "total_bound",
     # cube
-    "CubeConventionalResult", "CubeGameSetup",
+    "CubeConventionalResult", "CubeConventionalStrategy", "CubeGameSetup", "CubeVaaStrategy",
     "collapse_row_labels", "conventional_baseline", "conventional_cube_optimize",
     "conventional_cube_rule", "conventional_cube_value", "king_collapse",
     "make_cube_setup", "vaa_overlap_table", "vaa_prediction_table",
     "vaa_success_exact", "verify_bell_decompositions", "wrong_prediction_mass",
     # game
-    "CubeConventionalStrategy", "CubeVaaStrategy", "GameConfig", "GameResult", "run",
+    "GameConfig", "GameResult", "run",
     # mub
     "CertificationReport", "MubFamily", "OrthonormalBasis", "certify_family",
     "construct_mub", "is_prime", "orthonormality_defect", "two_qubit_observable_pairs",

@@ -396,8 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:  # each names the bad value or path
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, OSError, MemoryError) as exc:  # each names what it refused
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

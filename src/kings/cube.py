@@ -12,6 +12,9 @@ from the dot products n_a . m by the Born rule |<a|b>|^2 = (1 + a . b) / 2.
 Its optimum is exact: the best direction is the longest signed sum of the
 other three diagonals, which reaches (15 + sqrt(33)) / 24 on three degenerate
 axes, and a Cauchy-Schwarz bound that the optimum meets certifies it.
+CubeVaaStrategy and CubeConventionalStrategy are the two protocols as
+strategy kinds; each builds the GameTables record the Monte Carlo referee
+plays from the tables derived here.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .config import CONSTRUCTION_TOL, COMPARISON_TOL
 from .mub import OrthonormalBasis
 from .qstate import spin_up_state, tensor
+from .strategy import GameTables
 
 REFLECTION_PARTNER: dict[int, int] = {0: 3, 1: 2, 2: 1, 3: 0}
 
@@ -149,6 +153,20 @@ def vaa_success_exact(setup: CubeGameSetup) -> float:
     return float(1.0 - wrong_prediction_mass(vaa_tables(setup)).mean())
 
 
+@dataclass
+class CubeVaaStrategy:
+    """Entangled-pair cube protocol: the VAA measurement, read by the
+    majority-likelihood rule vaa_tables derives from the setup."""
+
+    setup: CubeGameSetup
+
+    def tables(self) -> GameTables:
+        """vaa_tables as a record, built afresh on every call; signs +1 index
+        0 and -1 index 1."""
+        first, overlap, prediction = vaa_tables(self.setup)
+        return GameTables("cube-vaa", first, overlap, (1 - prediction) // 2)
+
+
 # --- ancilla-free (conventional) protocol ----------------------------------
 
 
@@ -185,18 +203,28 @@ def conventional_cube_rule(setup: CubeGameSetup, direction: np.ndarray) -> dict[
     return {a: 1 if a == 0 or dots[a] >= 0 else -1 for a in range(4)}
 
 
-def conventional_cube_tables(setup: CubeGameSetup, direction: np.ndarray
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(first, control, prediction) of the ancilla-free protocol for direction
-    m by the spin-1/2 Born rule; signs +1 index 0 and -1 index 1.
+@dataclass
+class CubeConventionalStrategy:
+    """Ancilla-free cube protocol: spin-up preparation along diagonal 1 and
+    a single control direction, read by the sign rule
+    conventional_cube_rule derives from the two."""
 
-    first[a, s] = (1 + s n_a . n_1) / 2; control[2a + s, t] = (1 + s t n_a . m) / 2;
-    prediction[k, a] is the rule's sign on k = +, flipped off diagonal 0 on k = -.
-    """
-    first = (1 + np.outer(diagonal_dots(setup, setup.diagonals[0]), [1, -1])) / 2
-    control = (1 + np.outer(np.outer(diagonal_dots(setup, direction), [1, -1]), [1, -1])) / 2
-    plus = np.array(list(conventional_cube_rule(setup, direction).values()))  # keys 0..3
-    return first, control, np.array([plus, plus * [1, -1, -1, -1]])
+    setup: CubeGameSetup
+    direction: np.ndarray
+
+    def tables(self) -> GameTables:
+        """The protocol's record for direction m by the spin-1/2 Born rule,
+        built afresh on every call; signs +1 index 0 and -1 index 1.
+
+        first[a, s] = (1 + s n_a . n_1) / 2; control[2a + s, t] = (1 + s t n_a . m) / 2;
+        the rule calls its sign on k = +, flipped off diagonal 0 on k = -.
+        """
+        setup, m = self.setup, self.direction
+        first = (1 + np.outer(diagonal_dots(setup, setup.diagonals[0]), [1, -1])) / 2
+        control = (1 + np.outer(np.outer(diagonal_dots(setup, m), [1, -1]), [1, -1])) / 2
+        plus = np.array(list(conventional_cube_rule(setup, m).values()))  # keys 0..3
+        signs = np.array([plus, plus * [1, -1, -1, -1]])
+        return GameTables("cube-conventional", first, control, (1 - signs) // 2)
 
 
 def conventional_baseline(setup: CubeGameSetup) -> float:

@@ -4,8 +4,8 @@ run() simulates full rounds (king's choice, Born-rule collapse, control
 measurement, prediction) for a GameTables record (kings.strategy's one
 ancilla-free strategy record, which the role exchange builds), a
 conventional MUB strategy, the VAA cube protocol or the ancilla-free cube
-protocol.  A record is played as it is; every other kind is lowered once to
-one (kings.cube derives a cube protocol's tables), and one sampling loop
+protocol.  A record is played as it is; every other kind builds its own
+once, with the tables() method its module defines, and one sampling loop
 serves every kind.  Trials are drawn in chunks of CHUNK from one numpy PCG64
 stream: per chunk the king's choices, then the king's uniforms, then the
 control uniforms.  Each run keeps one cell store of the narrowest unsigned
@@ -29,30 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import CubeGameSetup, conventional_cube_tables, vaa_tables
+from .cube import CubeConventionalStrategy, CubeVaaStrategy
 from .strategy import ConventionalStrategy, GameTables
 
 GENERATOR_NAME = "numpy-pcg64"
 CHUNK = 1 << 20
 BLOCK = 1 << 14
-
-
-@dataclass
-class CubeVaaStrategy:
-    """Entangled-pair cube protocol: the VAA measurement, read by the
-    majority-likelihood rule vaa_tables derives from the setup."""
-
-    setup: CubeGameSetup
-
-
-@dataclass
-class CubeConventionalStrategy:
-    """Ancilla-free cube protocol: spin-up preparation along diagonal 1 and
-    a single control direction, read by the sign rule
-    conventional_cube_rule derives from the two."""
-
-    setup: CubeGameSetup
-    direction: np.ndarray
 
 
 Strategy = GameTables | ConventionalStrategy | CubeVaaStrategy | CubeConventionalStrategy
@@ -79,32 +61,13 @@ class GameResult:
     generator: str = GENERATOR_NAME
 
 
-def _lower_mub(s: ConventionalStrategy) -> GameTables:
-    family, d = s.family, s.family.dim
-    first = np.abs(np.einsum("ijm,m->ij", family.array.conj(), s.preparation)) ** 2
-    control = s.overlaps.reshape(-1, d)
-    predict = s.assignment.prediction.copy()
-    predict[:, s.prep_basis] = s.prep_index
-    return GameTables(f"mub-d{d}", first, control, predict)
-
-
-def _lower_cube(mode: str, first: np.ndarray, control: np.ndarray,
-                predict: np.ndarray) -> GameTables:
-    """Wrap a cube protocol's tables from kings.cube, signs +1 -> 0 and -1 -> 1."""
-    return GameTables(mode, first, control, (1 - predict) // 2)
-
-
 def _lower(strategy: Strategy) -> GameTables:
-    """The one dispatch over strategy kinds; a record passes through as it is."""
+    """The one dispatch over strategy kinds: a record passes through as it
+    is, and every other kind builds its own."""
     if isinstance(strategy, GameTables):
         return strategy
-    if isinstance(strategy, ConventionalStrategy):
-        return _lower_mub(strategy)
-    if isinstance(strategy, CubeVaaStrategy):
-        return _lower_cube("cube-vaa", *vaa_tables(strategy.setup))
-    if isinstance(strategy, CubeConventionalStrategy):
-        return _lower_cube("cube-conventional",
-                           *conventional_cube_tables(strategy.setup, strategy.direction))
+    if isinstance(strategy, (ConventionalStrategy, CubeVaaStrategy, CubeConventionalStrategy)):
+        return strategy.tables()
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 

@@ -24,10 +24,16 @@ def is_prime(n: int) -> bool:
     return all(n % p for p in range(2, int(n**0.5) + 1))
 
 
+def _is_whole(value: object) -> bool:
+    """value is an int or numpy integer; a bool is refused, although True == 1,
+    and so is a whole-number float, although 1.0 == 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_index(value: object, indices: range) -> bool:
-    """value is an int or numpy integer in indices; a bool is refused, although
-    True == 1, and so is a whole-number float, although 1.0 in range(2)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in indices
+    """value is a whole number (see _is_whole) in indices: 1.0 is refused,
+    although 1.0 in range(2) holds."""
+    return _is_whole(value) and value in indices
 
 
 @dataclass
@@ -180,16 +186,12 @@ def _two_qubit_family() -> list[np.ndarray]:
 def construct_mub(d: int) -> MubFamily:
     """Build the maximal family of d+1 mutually unbiased bases of C^d.
 
-    Supported dimensions: primes and 4.  Raises ValueError otherwise.
+    Supported dimensions: primes and 4, given as an int or numpy integer
+    (4.0 and True are refused).  Raises ValueError otherwise.
     """
-    if d == 2:
-        mats = _qubit_family()
-    elif d == 4:
-        mats = _two_qubit_family()
-    elif is_prime(d):
-        mats = _odd_prime_family(d)
-    else:
+    if not _is_whole(d) or not (d == 4 or is_prime(d)):
         raise ValueError(f"no construction available for dim {d} (need a prime or 4)")
+    mats = _qubit_family() if d == 2 else _two_qubit_family() if d == 4 else _odd_prime_family(d)
     bases = tuple(OrthonormalBasis(label=m, states=mat) for m, mat in enumerate(mats))
     return MubFamily(dim=d, bases=bases)
 

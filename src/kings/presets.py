@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import conventional_cube_optimize, make_cube_setup
-from .game import CubeConventionalStrategy, CubeVaaStrategy
+from .cube import (CubeConventionalStrategy, CubeVaaStrategy, conventional_cube_optimize,
+                   make_cube_setup)
 from .mub import OrthonormalBasis, construct_mub
 from .qstate import spin_up_state
 from .search import find_measurement_bases, find_signal_states

@@ -11,7 +11,8 @@ basis.  A map with that property is "well conditioned".
 
 GameTables is the one record of an ancilla-free strategy in index space:
 outcome tables plus a guess table, worth their table value.  The Monte Carlo
-referee plays it, and the role exchange builds one.
+referee plays it; a conventional strategy's tables() builds one, and so does
+the role exchange.
 """
 
 from __future__ import annotations
@@ -190,6 +191,17 @@ class ConventionalStrategy:
     @property
     def preparation(self) -> np.ndarray:
         return self.family.state(self.prep_basis, self.prep_index)
+
+    def tables(self) -> GameTables:
+        """The strategy's record, built afresh on every call: the king's Born
+        weights on the preparation, the overlaps as control rows, and the
+        assignment's predictions with the guessed basis called prep_index."""
+        family, d = self.family, self.family.dim
+        first = np.abs(np.einsum("ijm,m->ij", family.array.conj(), self.preparation)) ** 2
+        control = self.overlaps.reshape(-1, d)
+        predict = self.assignment.prediction.copy()
+        predict[:, self.prep_basis] = self.prep_index
+        return GameTables(f"mub-d{d}", first, control, predict)
 
 
 def build_strategy(family: MubFamily, prep_basis: int, prep_index: int,

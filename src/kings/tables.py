@@ -62,9 +62,9 @@ def write_tables(outdir: str, which: tuple[int, ...] = (1, 2, 3, 4, 5)) -> list[
     """Write the requested tables under outdir; returns the paths written."""
     os.makedirs(outdir, exist_ok=True)
     paths: list[str] = []
-    need_search = {3, 4} & set(which)
-    if need_search:
+    if {2, 3, 4} & set(which):
         family4 = construct_mub(4)
+    if {3, 4} & set(which):
         signals = find_signal_states(family4)
         bases = find_measurement_bases(signals)
 
@@ -84,12 +84,11 @@ def write_tables(outdir: str, which: tuple[int, ...] = (1, 2, 3, 4, 5)) -> list[
                 {"bounds": [{"d": d, "value": v} for d, v in bound_summary()]},
             )
         elif n == 2:
-            family = construct_mub(4)
             emit(
                 "table2",
                 family_csv_header(4),
-                family_to_csv_rows(family),
-                family_to_json(family),
+                family_to_csv_rows(family4),
+                family_to_json(family4),
             )
         elif n == 3:
             emit(

@@ -271,11 +271,16 @@ def criterion_monte_carlo(profile: str = "full") -> CriterionResult:
              ("cube-conv", conv, conventional_cube_value(conv.setup, conv.direction))]
     problems, measured = [], []
     for name, strat, exact in cases:
-        result = run(GameConfig(strategy=strat, trials=trials, seed=ACCEPTANCE_SEED))
-        dev = abs(result.estimate - exact)
-        measured.append(f"{name} {result.estimate:.5f} ({dev / result.stderr:.2f} se)")
-        if dev > 3 * result.stderr:
-            problems.append(f"{name}: estimate {result.estimate!r} vs exact {exact!r}")
+        record = strat.tables()  # the record run plays, built once
+        p = record.success()
+        if not abs(p - exact) <= 1e-12:  # a NaN fails too
+            problems.append(f"{name}: record value {p!r} vs library value {exact!r}")
+        result = run(GameConfig(strategy=record, trials=trials, seed=ACCEPTANCE_SEED))
+        se = math.sqrt(p * (1 - p) / trials)  # from the exact p, not the estimate
+        dev = abs(result.estimate - p)
+        measured.append(f"{name} {result.estimate:.5f} ({dev / se:.2f} se)")
+        if not dev <= 3 * se:
+            problems.append(f"{name}: estimate {result.estimate!r} vs exact {p!r}")
     elapsed = time.perf_counter() - t0
     return _result(9, f"Monte Carlo referee ({trials} trials)", elapsed, problems,
                    ", ".join(measured), 60.0)

@@ -113,6 +113,20 @@ def test_mub_rejects_bad_dimension(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("exc", (MemoryError("Unable to allocate 149. GiB"), MemoryError()))
+def test_memory_error_is_a_usage_error(capsys, monkeypatch, exc):
+    """A family too large to allocate exits 2 with one error line, no traceback;
+    the allocation is stubbed, as a real refusal depends on the machine."""
+    def construct_mub(d):
+        raise exc
+
+    monkeypatch.setattr("kings.cli.construct_mub", construct_mub)
+    code, _, err = run_cli(capsys, "mub", "--d", "100003")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert err.strip() != "error:"
+
+
 def test_mub_rejects_unknown_emit(capsys):
     code, _, err = run_cli(capsys, "mub", "--d", "2", "--emit", "xml")
     assert code == 2

@@ -1,4 +1,5 @@
-"""Every kings path runs on numpy alone, so scipy stays unimported, every
+"""Every kings path runs on numpy alone, so scipy stays unimported, the
+reproduce path leaves numpy.random unloaded until its referee run, every
 exported name resolves, and every library name the benchmark binds still
 resolves."""
 
@@ -33,6 +34,7 @@ with tempfile.TemporaryDirectory() as out:
     tables.write_tables(out)
 strategies = [presets.d4_optimal_strategy(), presets.d2_optimal_strategy(),
               presets.cube_vaa_strategy(), presets.cube_conventional_strategy()]
+assert "numpy.random" not in sys.modules, "the reproduce path loads numpy.random"
 game.run(game.GameConfig(strategy=strategies[0], trials=1000, seed=0))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """

@@ -138,7 +138,7 @@ def test_orthonormality_defect():
     assert OrthonormalBasis(label=None, states=skew).defect == orthonormality_defect(skew)
 
 
-@pytest.mark.parametrize("d", (1, 6, 9, 10, 12))
+@pytest.mark.parametrize("d", (1, 6, 9, 10, 12, 4.0, 3.0))
 def test_unsupported_dimensions_raise(d):
     with pytest.raises(ValueError):
         construct_mub(d)
