@@ -17,9 +17,9 @@ free to prepare any state and to guess two-to-one can do better, and
 tests/test_strategy.py::test_ceiling_bounds_the_class_not_every_ancilla_free_strategy
 referees a d = 4 one worth 17/20 against bound_p(4) = 0.7.
 
-relaxed_f_max computes the exact maximum of the per-signal overlap sum F over
-unit vectors: how close a given family lets a single state get to the
-d * overlap_target(d) ceiling.
+relaxed_f_max, the one equal-overlap engine, computes the exact maximum of the
+per-signal overlap sum F over unit vectors and every selection attaining it;
+it lives here because kings.search, which reads it, imports this module.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SEARCH_TOL
 from .mub import MubFamily, selection_grams
 
 
@@ -104,11 +105,14 @@ def bound_report(d: int, r: int | None = None) -> BoundReport:
 
 @dataclass
 class RelaxedMaximum:
-    """F_max, a unit vector attaining it, and its selection (a state index per covered basis)."""
+    """F_max, a unit vector attaining it, its selection (a state index per covered
+    basis), and every selection within SEARCH_TOL of F_max with its top Gram eigenvector."""
 
     value: float
     maximizer: np.ndarray
     selection: tuple[int, ...]
+    selections: list[tuple[int, ...]]
+    eigenvectors: np.ndarray
 
 
 def relaxed_f_max(
@@ -124,14 +128,19 @@ def relaxed_f_max(
     Swapping the maximizations over chi and over the state picked in each
     covered basis makes F_max the largest top eigenvalue of the picks' Gram
     matrix; one batched eigvalsh covers all d^d selections, ties going to the
-    first.  F_max never exceeds d * overlap_target(d) for an unbiased family.
-    Raises ValueError, from selection_grams, if `excluded` is no basis label
-    or d^d > 5^5 (d >= 7).  `restarts` and `seed` are ignored.
+    first.  One batched eigh gives the top eigenvector u of each selection
+    within SEARCH_TOL of F_max, in lexicographic order; sum_l u_l psi_l,
+    normalised, attains its eigenvalue.  F_max never exceeds
+    d * overlap_target(d) for an unbiased family.  Raises ValueError, from
+    selection_grams, if `excluded` is no basis label or d^d > 5^5 (d >= 7).
+    `restarts` and `seed` are ignored.
     """
-    d = family.dim
     tuples, grams = selection_grams(family, excluded)
     tops = np.linalg.eigvalsh(grams)[:, -1]
     best = int(tops.argmax())
-    picked = np.delete(family.array, excluded, axis=0)[np.arange(d), tuples[best]]
-    chi = np.linalg.eigh(picked.T @ picked.conj())[1][:, -1]
-    return RelaxedMaximum(value=float(tops[best]), maximizer=chi, selection=tuples[best])
+    near = np.flatnonzero(tops >= tops[best] - SEARCH_TOL)
+    vecs = np.linalg.eigh(grams[near])[1][:, :, -1]
+    picked = np.delete(family.array, excluded, axis=0)[np.arange(family.dim), tuples[best]]
+    chi = vecs[near.searchsorted(best)] @ picked
+    return RelaxedMaximum(float(tops[best]), chi / np.linalg.norm(chi), tuples[best],
+                          selections=[tuples[t] for t in near], eigenvectors=vecs)

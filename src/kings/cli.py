@@ -78,21 +78,23 @@ def make_manifest(command: str, parameters: dict[str, Any], *, seed: int | None 
     )
 
 
-def _emit(text: str, out: str | None, manifest: RunManifest) -> None:
-    """Print `text`, or write it to `out` with a `.manifest.json` sibling."""
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w") as fh:
-        fh.write(text)
-    _write_manifest(_sibling_manifest_path(out), manifest, [out])
-
-
 def _print_json(obj: dict[str, Any], out: str | None, manifest: RunManifest) -> None:
     """Print with the manifest embedded, or write `out` + manifest sibling."""
     if out is None:
-        obj = {"manifest": asdict(manifest), **obj}
-    _emit(json.dumps(obj, indent=2) + "\n", out, manifest)
+        sys.stdout.write(json.dumps({"manifest": asdict(manifest), **obj}, indent=2) + "\n")
+        return
+    with open(out, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
+    _write_manifest(_sibling_manifest_path(out), manifest, [out])
+
+
+def _emit_csv(header: list[str], rows: list[list[Any]], out: str | None, manifest: RunManifest) -> None:
+    """Print `_csv_text`, or write `out` as `kings tables` does, with a manifest sibling."""
+    if out is None:
+        sys.stdout.write(_csv_text(header, rows))
+        return
+    write_csv(out, header, rows)
+    _write_manifest(_sibling_manifest_path(out), manifest, [out])
 
 
 def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
@@ -141,12 +143,7 @@ def cmd_mub(args: argparse.Namespace) -> int:
         }
         _print_json(obj, args.out, manifest)
     elif emit == "csv":
-        header, rows = family_csv_header(family.dim), family_to_csv_rows(family)
-        if args.out is None:
-            sys.stdout.write(_csv_text(header, rows))
-        else:
-            write_csv(args.out, header, rows)
-            _write_manifest(_sibling_manifest_path(args.out), manifest, [args.out])
+        _emit_csv(family_csv_header(family.dim), family_to_csv_rows(family), args.out, manifest)
     else:
         raise UsageError(f"mub emits json or csv, not {emit!r}")
     return 0 if report.passed else 1
@@ -157,7 +154,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.table1:
         if args.d is not None or args.r is not None:
             raise UsageError("bound --table1 prints every dimension and takes no --d or --r")
-        _emit(_csv_text(*table1_csv()), args.out, manifest)
+        _emit_csv(*table1_csv(), args.out, manifest)
         return 0
     if args.d is None:
         raise UsageError("bound needs --d (or --table1)")

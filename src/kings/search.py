@@ -5,12 +5,12 @@ basis 1..d, so its overlap sum with that selection is the ceiling
 d * overlap_target(d).  No unit vector collects more than the selection's top
 Gram eigenvalue, which never exceeds the ceiling, so every signal state is a
 top eigenvector of a selection that reaches it: find_signal_states reads
-them off one batched eigh.  In d = 4 that gives exactly 32 states, each the
-only one of its selection (every maximizer's top eigenvalue is simple), and
-their orthogonality graph has exactly 32 4-cliques: orthonormal bases that
-each saturate the conventional success bound.  d = 2 gives 4 states and 2
-bases; in d = 3 and 5 no selection reaches the ceiling, so no vector of C^d
-is a signal state.
+them off bounds.relaxed_f_max, the one equal-overlap engine.  In d = 4 that
+gives exactly 32 states, each the only one of its selection (every
+maximizer's top eigenvalue is simple), and their orthogonality graph has
+exactly 32 4-cliques: orthonormal bases that each saturate the conventional
+success bound.  d = 2 gives 4 states and 2 bases; in d = 3 and 5 no
+selection reaches the ceiling, so no vector of C^d is a signal state.
 
 lattice_deviations answers the equal-overlap question for free phases in
 any d: a Lipschitz branch and bound over a phase lattice gives every index
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import overlap_target
+from .bounds import overlap_target, relaxed_f_max
+from .config import SEARCH_TOL
 from .mub import MubFamily, OrthonormalBasis, selection_grams
 from .strategy import ConventionalStrategy, SuccessBreakdown, build_strategy, success_exact
 
@@ -77,25 +78,24 @@ def _exact_phase(z: complex) -> complex:
 def find_signal_states(family: MubFamily) -> list[SignalState]:
     """Every equal-overlap signal state of the family, in lexicographic order.
 
-    A selection whose top Gram eigenvalue reaches d * overlap_target(d) - TOL
-    yields its top eigenvector u; the state superposes the selection with
-    phases u[m] / u[0], 4th roots of unity written exactly, and is kept when
-    its squared overlap with each constituent equals overlap_target(d)
-    within TOL.  Raises ValueError past 5^5 selections (d >= 7).
+    When F_max reaches d * overlap_target(d) - SEARCH_TOL, each maximizing
+    selection of bounds.relaxed_f_max, the one equal-overlap engine, yields
+    with its top Gram eigenvector u the superposition of the selection with
+    phases u[m] / u[0], 4th roots of unity written exactly.  It is kept when
+    its squared overlap with each constituent equals overlap_target(d) within
+    SEARCH_TOL.  Raises ValueError past 5^5 selections (d >= 7).
     """
-    d = family.dim
-    target = overlap_target(d)
-    index_tuples, grams = selection_grams(family)
-    tops, vecs = np.linalg.eigh(grams)
+    target = overlap_target(family.dim)
+    relaxed = relaxed_f_max(family)
+    if relaxed.value < family.dim * target - SEARCH_TOL:
+        return []
     found: list[SignalState] = []
-    for t in np.flatnonzero(tops[:, -1] >= d * target - TOL):
-        u = vecs[t, :, -1]
+    for indices, u in zip(relaxed.selections, relaxed.eigenvectors):
         phases = tuple(_exact_phase(z) for z in u[1:] / u[0])
-        amps = _norm_constant(d) * grams[t] @ np.array((1, *phases))
-        if np.abs(np.abs(amps) ** 2 - target).max() < TOL:
-            indices = index_tuples[t]
-            found.append(SignalState(indices=indices, phases=phases,
-                                     vector=signal_candidate(family, indices, phases)))
+        vector = signal_candidate(family, indices, phases)
+        amps = [np.vdot(family.state(m + 1, j), vector) for m, j in enumerate(indices)]
+        if np.abs(np.abs(amps) ** 2 - target).max() < SEARCH_TOL:
+            found.append(SignalState(indices=indices, phases=phases, vector=vector))
     return found
 
 
@@ -103,13 +103,13 @@ def find_measurement_bases(states: list[SignalState]) -> list[MeasurementBasis]:
     """All orthonormal bases among the signal states, canonically ordered.
 
     Enumerates the d-cliques, d the states' dimension, of the orthogonality
-    graph (an edge wherever two states overlap by less than TOL): each
+    graph (an edge wherever two states overlap by less than SEARCH_TOL): each
     state is extended by the (d - 1)-subsets of its later neighbours, so the
     bases come out lexicographically.
     """
     vecs = np.array([s.vector for s in states])
     d = vecs.shape[-1]
-    ortho = np.abs(vecs.conj() @ vecs.T) < TOL
+    ortho = np.abs(vecs.conj() @ vecs.T) < SEARCH_TOL
     out: list[MeasurementBasis] = []
     for a in range(len(states)):
         later = [b for b in range(a + 1, len(states)) if ortho[a, b]]
@@ -188,7 +188,6 @@ class ImpossibilityReport:
         return self.floor > self.delta
 
 
-TOL = 1e-9  # overlap tolerance of the signal-state and basis searches
 DELTA = 1e-3  # deviation floor the d = 3 certificate must clear
 TILE = 32  # side, in lattice steps, of the boxes lattice_deviations starts from
 

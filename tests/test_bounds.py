@@ -14,8 +14,8 @@ from kings.bounds import (
     relaxed_f_max,
     total_bound,
 )
-from kings.mub import construct_mub
-from kings.reference import D3_RELAXED_MAX, SUCCESS_BOUND_TABLE
+from kings.mub import construct_mub, selection_grams
+from kings.reference import D3_RELAXED_MAX, SIGNAL_CATALOG, SUCCESS_BOUND_TABLE
 
 
 def test_bound_summary_to_four_decimals():
@@ -198,6 +198,28 @@ def test_relaxed_max_is_a_certificate(d):
         assert _overlap_sum(covered, chis).max() <= result.value + 1e-12, excluded
         assert _multistart_f_max(family, excluded)[0] <= result.value + 1e-12, excluded
         assert result.value <= d * overlap_target(d) + 1e-12
+        # every maximizing selection, once each and in lexicographic order, with
+        # a unit top eigenvector whose Rayleigh quotient on its Gram matrix is F_max
+        assert result.selections == sorted(set(result.selections))
+        assert result.selection in result.selections
+        tuples, grams = selection_grams(family, excluded)
+        row = {t: i for i, t in enumerate(tuples)}
+        u = result.eigenvectors
+        assert u.shape == (len(result.selections), d)
+        assert np.abs(np.linalg.norm(u, axis=1) - 1).max() < 1e-12
+        g = grams[[row[t] for t in result.selections]]
+        rayleigh = np.einsum("ti,tij,tj->t", u.conj(), g, u).real
+        assert np.abs(rayleigh - result.value).max() <= 1e-9
+
+
+@pytest.mark.parametrize("d, count", [(2, 4), (3, 18), (5, 500)])  # d = 4: the catalogue test below
+def test_relaxed_max_counts_every_maximizing_selection(d, count):
+    assert len(relaxed_f_max(construct_mub(d)).selections) == count
+
+
+def test_relaxed_max_d4_selections_are_the_catalogue_tuples():
+    catalogue = sorted(tuple(j - 1 for j in row[:4]) for row in SIGNAL_CATALOG)
+    assert relaxed_f_max(construct_mub(4)).selections == catalogue
 
 
 @pytest.mark.parametrize("excluded", [-1, 4, 7, True, np.True_, 1.0])

@@ -469,6 +469,13 @@ def test_bound_table1_matches_tables_csv(capsys, tmp_path):
     assert [line.split(",") for line in out.strip().splitlines()] == [header, *rows]
 
 
+def test_bound_table1_out_is_the_tables_file(capsys, tmp_path):
+    run_cli(capsys, "bound", "--table1", "--out", str(tmp_path / "bound.csv"))
+    run_cli(capsys, "tables", "--which", "1", "--outdir", str(tmp_path))
+    assert (tmp_path / "bound.csv").read_bytes() == (tmp_path / "table1.csv").read_bytes()
+    assert (tmp_path / "bound.manifest.json").exists()
+
+
 def test_cube_vaa_stdout_matches_tables_csv(capsys, tmp_path):
     _, out, _ = run_cli(capsys, "cube", "vaa")
     run_cli(capsys, "tables", "--which", "5", "--outdir", str(tmp_path))
@@ -488,9 +495,10 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_verify_quick_profile(capsys):
+    # the output is the message, so a failure names the criterion that failed
     code, out, _ = run_cli(capsys, "verify", "--profile", "quick")
-    assert code == 0
+    assert code == 0, out
     lines = out.strip().splitlines()
-    assert len(lines) == 11  # 10 criteria + summary
-    assert all("PASS" in line for line in lines[:-1])
-    assert lines[-1].startswith("10/10")
+    assert len(lines) == 11, out  # 10 criteria + summary
+    assert all("PASS" in line for line in lines[:-1]), out
+    assert lines[-1].startswith("10/10"), out

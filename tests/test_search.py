@@ -8,6 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kings.bounds
+import kings.mub
+import kings.search
 from kings.bounds import bound_p, overlap_target
 from kings.mub import OrthonormalBasis, construct_mub, selection_grams
 from kings.reference import BASIS_CATALOG, D3_WORST_MIN_DEVIATION, SIGNAL_CATALOG
@@ -54,6 +57,20 @@ def test_scan_matches_catalog(signals):
         for i, j, k, l, b, c, d in SIGNAL_CATALOG
     }
     assert got == expected
+
+
+def test_signal_states_enumerate_the_selections_once(monkeypatch):
+    # relaxed_f_max is the one engine: find_signal_states builds no Gram matrices of its own
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return selection_grams(*args, **kwargs)
+
+    for module in (kings.mub, kings.bounds, kings.search):
+        monkeypatch.setattr(module, "selection_grams", counted)
+    find_signal_states(construct_mub(4))
+    assert len(calls) == 1
 
 
 def test_signal_states_have_equal_overlaps(family4, signals):
