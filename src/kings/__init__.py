@@ -79,7 +79,6 @@ from .strategy import (
     success_exact,
     success_exact_general,
 )
-from .verify import ACCEPTANCE_SEED, CriterionResult, run_all
 
 __all__ = [
     "__version__",
@@ -108,6 +107,4 @@ __all__ = [
     "assign_greedy", "build_strategy", "complement_strategy", "overlap_matrix",
     "random_control_basis", "random_strategy", "repair_well_conditioned",
     "success_exact", "success_exact_general",
-    # verify
-    "ACCEPTANCE_SEED", "CriterionResult", "run_all",
 ]

@@ -287,7 +287,7 @@ class GameTables:
             table = np.asarray(getattr(self, name))
             if table.ndim != 2:
                 raise ValueError(f"{name} has shape {table.shape}, need a 2-D table")
-            setattr(self, name, _check_probs(table))
+            setattr(self, name, _check_probs(table, name))
         n_choices, n_out = self.first.shape
         if self.control.shape[0] != n_choices * n_out:
             raise ValueError(f"control has {self.control.shape[0]} rows, "
@@ -312,11 +312,14 @@ class GameTables:
         return success_exact_general(self)
 
 
-def _check_probs(p: np.ndarray) -> np.ndarray:
-    """Renormalize a Born distribution, rejecting real corruption."""
+def _check_probs(p: np.ndarray, name: str) -> np.ndarray:
+    """Renormalize a Born distribution, rejecting real corruption: a row that
+    does not sum to 1 or a negative weight, which the sampler's CDF cannot play."""
     s = p.sum(axis=-1, keepdims=True)
     if not np.all(np.abs(s - 1.0) <= COMPARISON_TOL):  # a NaN sum fails too
-        raise ValueError(f"outcome probabilities sum to {s.ravel()!r}, not 1")
+        raise ValueError(f"{name} probabilities sum to {s.ravel()!r}, not 1")
+    if (p < 0).any():
+        raise ValueError(f"{name} has a negative probability {float(p.min())!r}")
     return p / s
 
 

@@ -2,7 +2,8 @@
 
 Each criterion pins its own tolerances and runtime budget and reports a
 single pass/fail with measured details.  The checks only consume public
-library API plus the frozen reference values in `reference`.
+library API plus the frozen reference values in `reference`.  A bare
+`import kings` loads neither this module nor `reference`.
 """
 
 from __future__ import annotations
@@ -66,11 +67,19 @@ def _result(number: int, name: str, elapsed: float, problems: list[str], details
                            "; ".join(problems) if problems else details, elapsed, budget)
 
 
+def _best_of(repeat: int, fn):
+    """fn's value and its best wall time over `repeat` calls, as `timeit`
+    reports it, so that one preemption cannot spend a sub-millisecond budget."""
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - t0)
+    return value, best
+
+
 def criterion_bound_table() -> CriterionResult:
-    bound_p(2)  # warm-up outside the timed region
-    t0 = time.perf_counter()
-    values = {d: bound_p(d) for d in reference.SUCCESS_BOUND_TABLE}
-    elapsed = time.perf_counter() - t0
+    values, elapsed = _best_of(5, lambda: {d: bound_p(d) for d in reference.SUCCESS_BOUND_TABLE})
     bad = {
         d: v for d, v in values.items()
         if round(v, 4) != reference.SUCCESS_BOUND_TABLE[d]
@@ -80,9 +89,7 @@ def criterion_bound_table() -> CriterionResult:
                    "all 6 dimensions match to 4 decimals", 1e-3)
 
 
-def criterion_split_identities() -> CriterionResult:
-    total_bound(2, 1)  # warm-up
-    t0 = time.perf_counter()
+def _split_deviations() -> tuple[float, float, bool]:
     worst_mid = 0.0
     worst_edge = 0.0
     strict = True
@@ -93,7 +100,11 @@ def criterion_split_identities() -> CriterionResult:
         for r in (0, d + 1):
             worst_edge = max(worst_edge, abs(total_bound(d, r) - edge))
         strict = strict and edge < bound_p(d)
-    elapsed = time.perf_counter() - t0
+    return worst_mid, worst_edge, strict
+
+
+def criterion_split_identities() -> CriterionResult:
+    (worst_mid, worst_edge, strict), elapsed = _best_of(5, _split_deviations)
     details = (
         f"max |split - direct| = {worst_mid:.2e}, edge cases {worst_edge:.2e}, "
         f"all-or-nothing strictly below"

@@ -279,7 +279,7 @@ def test_guessed_basis_always_succeeds():
 
 def test_probability_check_rejects_a_nan_row():
     with pytest.raises(ValueError, match="not 1"):
-        _check_probs(np.array([[np.nan, 0.5]]))
+        _check_probs(np.array([[np.nan, 0.5]]), "first")
 
 
 def test_unsupported_strategy_type():
@@ -355,8 +355,8 @@ def test_cube_tables_equal_their_state_vector_construction():
     vaa = cube_vaa_strategy()
     first, control = _state_vector_tables(vaa)
     tables = _lower(vaa)
-    assert (tables.first == _check_probs(first)).all()
-    assert (tables.control == _check_probs(control)).all()
+    assert (tables.first == _check_probs(first, "first")).all()
+    assert (tables.control == _check_probs(control, "control")).all()
     setup = vaa.setup
     rng = np.random.default_rng(2024)
     directions = [cube_conventional_strategy().direction, *setup.diagonals, *-setup.diagonals,
@@ -365,8 +365,8 @@ def test_cube_tables_equal_their_state_vector_construction():
         strategy = CubeConventionalStrategy(setup=setup, direction=m)
         first, control = _state_vector_tables(strategy)
         tables = _lower(strategy)
-        assert np.abs(tables.first - _check_probs(first)).max() <= 1e-15
-        assert np.abs(tables.control - _check_probs(control)).max() <= 1e-15
+        assert np.abs(tables.first - _check_probs(first, "first")).max() <= 1e-15
+        assert np.abs(tables.control - _check_probs(control, "control")).max() <= 1e-15
     for tables in (_lower(vaa), *(_lower(CubeConventionalStrategy(setup, m)) for m in directions)):
         assert (tables.first >= 0).all() and (tables.control >= 0).all()
 

@@ -1,7 +1,7 @@
 """Every kings path runs on numpy alone, so scipy stays unimported, the
-reproduce path leaves numpy.random unloaded until its referee run, every
-exported name resolves, and every library name the benchmark binds still
-resolves."""
+reproduce path leaves numpy.random unloaded until its referee run and never
+loads the acceptance suite or its reference values, every exported name
+resolves, and every library name the benchmark binds still resolves."""
 
 import itertools
 import subprocess
@@ -36,6 +36,8 @@ strategies = [presets.d4_optimal_strategy(), presets.d2_optimal_strategy(),
               presets.cube_vaa_strategy(), presets.cube_conventional_strategy()]
 assert "numpy.random" not in sys.modules, "the reproduce path loads numpy.random"
 game.run(game.GameConfig(strategy=strategies[0], trials=1000, seed=0))
+for module in ("kings.verify", "kings.reference"):
+    assert module not in sys.modules, f"the library path loads {module}"
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

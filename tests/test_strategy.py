@@ -349,12 +349,14 @@ def _valid_tables():
     ({"control": np.full(6, 1 / 6)}, r"control has shape \(6,\), need a 2-D table"),
     ({"first": np.array([[0.5, 0.5]]), "control": np.full((2, 1, 2), 0.5),
       "predict": np.array([[0]])}, r"control has shape \(2, 1, 2\), need a 2-D table"),
+    ({"first": np.array([[1.5, -0.5]]), "control": np.eye(2), "predict": np.array([[1], [1]])},
+     "first has a negative probability -0.5"),
 ])
 def test_record_validation(change, match):
     """A record checks its tables once: 2-D Born tables, the guess table's
-    shape, every guess an int outcome index, no bool, and Born rows that sum
-    to 1.  A guess out of 0..n_out-1 names itself instead of wrapping round or
-    raising a bare IndexError."""
+    shape, every guess an int outcome index, no bool, and Born rows of
+    non-negative weights that sum to 1.  A guess out of 0..n_out-1 names
+    itself instead of wrapping round or raising a bare IndexError."""
     GameTables(**_valid_tables())  # the unchanged tables pass
     with pytest.raises(ValueError, match=match):
         GameTables(**{**_valid_tables(), **change})
