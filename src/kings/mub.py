@@ -58,9 +58,6 @@ class OrthonormalBasis:
         """orthonormality_defect of the states, computed once (they are read-only)."""
         return orthonormality_defect(self.states)
 
-    def state(self, j: int) -> np.ndarray:
-        return self.states[j]
-
 
 def orthonormality_defect(states: np.ndarray) -> float:
     """Largest deviation of the Gram matrix from the identity."""

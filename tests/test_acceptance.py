@@ -71,6 +71,15 @@ def test_over_budget_criterion_fails_and_names_its_budget(monkeypatch):
     assert "FAIL" in result.line()
 
 
+def test_criterion_04_fails_when_the_bases_come_out_of_order(monkeypatch):
+    """Same 32 bases, reversed: the numbering of tables 3 and 4 would change."""
+    find = verify.find_measurement_bases
+    monkeypatch.setattr(verify, "find_measurement_bases", lambda signals: find(signals)[::-1])
+    result = verify.criterion_d4_search()
+    assert not result.passed
+    assert "0/32 match BASIS_CATALOG in order" in result.details
+
+
 def test_criterion_07_fails_on_a_broken_product_decomposition(monkeypatch):
     setup = verify.make_cube_setup()
     nan_pair = dataclasses.replace(setup, bell=np.array([np.nan, 0, 0, 1], dtype=complex))

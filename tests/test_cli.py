@@ -247,7 +247,8 @@ def test_cube_vaa_table_files(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "cube", "vaa", "--outdir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "table5.csv").exists()
-    assert (tmp_path / "manifest.json").exists()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["parameters"] == {"outdir": str(tmp_path)}
 
 
 def test_cube_conventional(capsys):
@@ -484,8 +485,11 @@ def test_cube_vaa_stdout_matches_tables_csv(capsys, tmp_path):
 
 
 def test_tables_rejects_bad_selection(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "tables", "--which", "7", "--outdir", str(tmp_path))
+    outdir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "tables", "--which", "1,7", "--outdir", str(outdir))
     assert code == 2
+    assert err == "error: unknown table 7\n"
+    assert not outdir.exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -6,6 +6,7 @@ import json
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 from kings.bounds import bound_report
 from kings.game import GameConfig, GameResult, run
@@ -20,6 +21,7 @@ from kings.serialize import (
     write_csv,
 )
 from kings.strategy import build_strategy, success_exact
+from kings.tables import write_tables
 
 
 def _families():
@@ -91,3 +93,46 @@ def test_generic_csv_round_trip(tmp_path):
         header, *rows = csv.reader(fh)
     assert header == ["a", "b"]
     assert rows == [["1", "2.5"], ["x", "-3"]]
+
+
+def test_table_json_siblings_carry_the_csv_data(tmp_path):
+    write_tables(str(tmp_path))
+
+    def load(n):
+        with open(tmp_path / f"table{n}.csv", newline="") as fh:
+            _, *rows = csv.reader(fh)
+        return rows, json.loads((tmp_path / f"table{n}.json").read_text())
+
+    rows, obj = load(1)
+    assert len(rows) == 6
+    assert [[str(b["d"]), f"{b['value']:.4f}"] for b in obj["bounds"]] == rows
+
+    rows, obj = load(2)
+    assert len(rows) == 20
+    assert [[int(r[0]), int(r[1])] for r in rows] == [
+        [b["label"], j] for b in obj["bases"] for j in range(len(b["states"]))]
+    values = np.array([[float(x) for x in r[2:]] for r in rows])
+    states = np.concatenate([basis_from_json(b).states for b in obj["bases"]])
+    assert np.array_equal(values[:, 0::2] + 1j * values[:, 1::2], states)
+
+    rows, obj = load(3)
+    assert len(rows) == 32
+    assert [[int(x) for x in r[:5]] for r in rows] == [
+        [s["number"], *s["indices"]] for s in obj["states"]]
+    assert [[float(x) for x in r[5:]] for r in rows] == [
+        [v for z in s["phases"] for v in (z["re"], z["im"])] for s in obj["states"]]
+
+    rows, obj = load(4)
+    assert len(rows) == 32
+    assert [[int(x) for x in r] for r in rows] == [[b["number"], *b["members"]] for b in obj["bases"]]
+
+    rows, obj = load(5)
+    assert len(rows) == 8
+    assert [[r["collapsed_state"]] + [f"{x:.6f}" for x in r["overlaps"]] for r in obj["rows"]] == rows
+
+
+def test_write_tables_refuses_an_unknown_table_before_writing(tmp_path):
+    outdir = tmp_path / "x"
+    with pytest.raises(ValueError, match="unknown table 6"):
+        write_tables(str(outdir), which=(1, 6))
+    assert not outdir.exists()
